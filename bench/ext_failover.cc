@@ -16,6 +16,8 @@
 //      flatness is the point: lag costs you during steady state, not
 //      during the outage.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -38,8 +40,12 @@ int main(int argc, char** argv) {
       SmokeMode() ? std::vector<uint64_t>{4, 16}
                   : std::vector<uint64_t>{16, 64, 256};
   constexpr double kHeartbeatTimeoutMs = 150.0;
+  // Per-process: ctest runs this binary's smoke test and build_sanity_test
+  // (which runs it again) concurrently.
   const std::string dir =
-      (fs::temp_directory_path() / "pitex_ext_failover").string();
+      (fs::temp_directory_path() /
+       ("pitex_ext_failover." + std::to_string(getpid())))
+          .string();
 
   const auto make_batch = [](const SocialNetwork& network, uint64_t i) {
     std::vector<EdgeInfluenceUpdate> batch(1);

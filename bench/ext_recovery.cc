@@ -14,6 +14,8 @@
 //      the knob ServeOptions::checkpoint_every trades against publish
 //      overhead.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -29,8 +31,12 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
 
   const size_t kBatches = SmokeMode() ? 16 : 128;
+  // Per-process: ctest runs this binary's smoke test and build_sanity_test
+  // (which runs it again) concurrently.
   const std::string dir =
-      (fs::temp_directory_path() / "pitex_ext_recovery").string();
+      (fs::temp_directory_path() /
+       ("pitex_ext_recovery." + std::to_string(getpid())))
+          .string();
 
   const auto make_batch = [](const SocialNetwork& network, uint64_t i) {
     std::vector<EdgeInfluenceUpdate> batch(1);

@@ -163,6 +163,64 @@ void BM_SnapshotPublish(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotPublish)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
 
+void BM_WorkerRebind(benchmark::State& state) {
+  // A serving worker's move to a new epoch, followed by the IndexEst+
+  // estimates it then serves: Arg 0 binds a fresh engine (UseSharedRrIndex
+  // + BuildIndex: new bound table, cold per-user filters), Arg 1 calls
+  // PitexEngine::Rebind, which keeps every filter the publish did not
+  // dirty. Iterations alternate between two snapshots one 8-edge batch
+  // apart, so each Rebind drops exactly that batch's dirty users.
+  static const auto* snapshots = [] {
+    RrIndexOptions options;
+    options.theta_per_vertex = 4.0;
+    DynamicRrIndex master(Network(), options);
+    master.Build();
+    auto* pair = new std::shared_ptr<const IndexSnapshot>[2];
+    pair[0] = IndexSnapshot::FromDynamic(master, 1);
+    master.ClearDirtyVertices();
+    std::vector<EdgeInfluenceUpdate> batch(8);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch[i].edge = static_cast<EdgeId>((i * 7919) % Network().num_edges());
+      batch[i].entries = {{static_cast<TopicId>(i % 3), 0.3}};
+    }
+    master.ApplyUpdates(batch);
+    pair[1] = IndexSnapshot::FromDynamic(master, 2, nullptr, pair[0].get());
+    return pair;
+  }();
+  const auto dirtied = [](VertexId u) {
+    return snapshots[1]->DirtiedAt(u) > 1;
+  };
+  const bool rebind = state.range(0) != 0;
+  EngineOptions options;
+  options.method = Method::kIndexEstPlus;
+  const auto bind = [&options](const IndexSnapshot& snapshot) {
+    auto engine = std::make_unique<PitexEngine>(&snapshot.network(), options);
+    engine->UseSharedRrIndex(snapshot.rr_index());
+    engine->BuildIndex();
+    return engine;
+  };
+  std::unique_ptr<PitexEngine> engine = bind(*snapshots[0]);
+  const size_t n = Network().num_vertices();
+  const TagId tags[] = {0, 3};
+  size_t next = 1;
+  for (auto _ : state) {
+    const IndexSnapshot& target = *snapshots[next];
+    next ^= 1;
+    if (rebind) {
+      benchmark::DoNotOptimize(engine->Rebind(&target.network(),
+                                              target.rr_index(), dirtied));
+    } else {
+      engine = bind(target);
+    }
+    for (size_t i = 0; i < 256; ++i) {
+      const auto u = static_cast<VertexId>((i * 7919) % n);
+      benchmark::DoNotOptimize(engine->EstimateInfluence(u, tags));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WorkerRebind)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_WalAppend(benchmark::State& state) {
   // Durable update logging: append edge-update batches and group-commit
   // every Arg batches with one fsync. Arg=1 is the PitexService

@@ -10,7 +10,7 @@
 //                (index_io), then reloaded as a serving replica;
 //   4. serve   — PitexService answers a query stream across a
 //                work-stealing worker pool with per-worker engine
-//                replicas and an epoch-keyed result cache;
+//                replicas and an epoch-stamped result cache;
 //   5. evolve  — ApplyUpdates repairs the shadow DynamicRrIndex master
 //                and hot-swaps a new immutable snapshot epoch while the
 //                service keeps answering;
@@ -161,7 +161,8 @@ int main() {
   // -- 5. evolve ------------------------------------------------------------
   // The model drifts; repairs go to the shadow master and are published
   // as a new immutable epoch — in-flight queries finish on their
-  // snapshot, the cache entries of the old epoch age out by keying.
+  // snapshot; cached answers of users the drift did not touch stay
+  // servable, the rest are recomputed at the new epoch.
   std::vector<EdgeInfluenceUpdate> drift(3);
   for (size_t i = 0; i < drift.size(); ++i) {
     drift[i].edge = static_cast<EdgeId>(i * 101 % network.num_edges());

@@ -248,7 +248,7 @@ int CmdStats(int argc, char** argv) {
 
   // A short deterministic serving burst so the registry, hot-counter
   // table, and journal have something to say: two passes over the same
-  // users (the second hits the epoch-keyed cache) plus one published
+  // users (the second hits the result cache) plus one published
   // update batch (WAL-free here; `serve` covers the durable paths).
   ServeOptions options;
   options.engine.method = Method::kIndexEst;

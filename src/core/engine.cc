@@ -102,6 +102,21 @@ void PitexEngine::AdoptDelayMatIndex(std::unique_ptr<DelayMatIndex> index) {
   delay_index_ = std::move(index);
 }
 
+size_t PitexEngine::Rebind(const SocialNetwork* network, RrIndex* shared,
+                           const std::function<bool(VertexId)>& dirtied) {
+  PITEX_CHECK(network != nullptr && shared != nullptr);
+  PITEX_CHECK_MSG(options_.method == Method::kIndexEst ||
+                      options_.method == Method::kIndexEstPlus,
+                  "Rebind requires kIndexEst or kIndexEstPlus");
+  PITEX_CHECK_MSG(rr_index_ptr_ != nullptr && rr_index_ == nullptr,
+                  "Rebind needs a built engine on a shared index");
+  network_ = network;
+  bound_context_.Rebind(network->topics);
+  rr_index_ptr_ = shared;
+  if (pruned_index_ == nullptr) return 0;
+  return pruned_index_->Rebind(shared, &network->influence, dirtied);
+}
+
 InfluenceOracle* PitexEngine::OracleFor(size_t k) {
   switch (options_.method) {
     case Method::kIndexEst:

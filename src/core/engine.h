@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -102,6 +103,22 @@ class PitexEngine {
   /// must never be shared across engines — ownership transfers. Call
   /// before BuildIndex().
   void AdoptDelayMatIndex(std::unique_ptr<DelayMatIndex> index);
+
+  /// Moves a kIndexEst / kIndexEstPlus engine serving a shared index
+  /// (UseSharedRrIndex) to a newer version of it: `network` (same topic
+  /// model, updated influence) and the built `shared` index replace the
+  /// ones it serves from, with sketch ids stable between the versions
+  /// (an IndexSnapshot series published from one DynamicRrIndex).
+  /// Per-engine state survives: the
+  /// Lemma-8 bound table, the best-effort scratch and the IndexEst+
+  /// per-user edge-cut filters -- except the filters of users for which
+  /// `dirtied(u)` is true, the users whose answers may differ between the
+  /// versions (the serve layer asks IndexSnapshot::DirtiedAt). Answers
+  /// afterwards equal a fresh engine's on (network, shared). Nothing of
+  /// the previous network or index is read, so both may already be
+  /// freed. Returns the number of filters dropped.
+  size_t Rebind(const SocialNetwork* network, RrIndex* shared,
+                const std::function<bool(VertexId)>& dirtied);
 
   /// Answers a PITEX query: the size-k tag set maximizing the target
   /// user's estimated influence spread.

@@ -65,6 +65,13 @@ PITEX_NOALLOC bool UpperBoundContext::Compatible(
   return true;
 }
 
+void UpperBoundContext::Rebind(const TopicModel& topics) {
+  PITEX_CHECK_MSG(sorted_tags_.size() == topics.num_topics() &&
+                      log_r_.size() == topics.num_tags() * topics.num_topics(),
+                  "UpperBoundContext::Rebind needs the same topic model");
+  topics_ = &topics;
+}
+
 std::vector<double> UpperBoundContext::TopicMultipliers(
     std::span<const TagId> partial, size_t k) const {
   PITEX_CHECK(partial.size() <= k);

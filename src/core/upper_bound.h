@@ -63,6 +63,11 @@ class UpperBoundContext {
  public:
   explicit UpperBoundContext(const TopicModel& topics);
 
+  /// Re-points the context at an equal topic model living elsewhere (the
+  /// copy inside a newer index snapshot), keeping the precomputed tables.
+  /// Never reads the previous model, which may already be freed.
+  void Rebind(const TopicModel& topics);
+
   const TopicModel& topics() const { return *topics_; }
 
   /// Returns the Eq.-6 multiplier B(z) for each topic given the partial

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "src/util/check.h"
 
@@ -40,6 +39,7 @@ void DynamicRrIndex::Build() {
   graphs_.resize(theta_);
   roots_.resize(theta_);
   containing_.assign(network_.num_vertices(), {});
+  dirty_mark_.assign(network_.num_vertices(), 0);
   envelope_ = EnvelopeTable(network_.graph, network_.influence);
   // Arena-staged generation against the envelope mirror: the same table
   // the static build materializes, so the initial state is bit-identical
@@ -63,9 +63,6 @@ void DynamicRrIndex::ApplyUpdates(
   if (updates.empty()) return;
   ++stats_.update_batches;
 
-  // Updates apply sequentially; the CSR fold below keeps the *last*
-  // entries per edge, matching the sequential envelope transitions.
-  std::unordered_map<EdgeId, std::span<const EdgeTopicEntry>> pending;
   for (const EdgeInfluenceUpdate& update : updates) {
     const EdgeId e = update.edge;
     PITEX_CHECK(e < network_.num_edges());
@@ -85,14 +82,16 @@ void DynamicRrIndex::ApplyUpdates(
     const auto p_new =
         static_cast<double>(EnvelopeProbability(p_new_raw));
     envelope_.Update(network_.graph, e, p_new_raw);
-    pending[e] = update.entries;
 
     // Only graphs containing head(e) ever probed e. Snapshot the list:
-    // repairs splice containment as membership changes.
+    // repairs splice containment as membership changes. Each examined
+    // graph's members are dirty (they read p(e) through it) before the
+    // repair; RepairGraph marks the members an expansion adds.
     const VertexId head = network_.graph.Head(e);
-    const std::vector<uint32_t> affected = containing_[head];
-    for (const uint32_t id : affected) {
+    affected_.assign(containing_[head].begin(), containing_[head].end());
+    for (const uint32_t id : affected_) {
       ++stats_.graphs_examined;
+      MarkDirty(graphs_[id].vertices);
       Rng rng = StreamFor(options_.seed, id, version_);
       RepairGraph(id, e, p_old, p_new, &rng);
     }
@@ -100,13 +99,42 @@ void DynamicRrIndex::ApplyUpdates(
 
   // Fold the batch into the influence CSR once: a single exact-size
   // splice pass (O(|E| + nnz), three allocations) instead of re-staging
-  // every edge through InfluenceGraphBuilder's per-edge vectors.
-  std::vector<EdgeTopicsReplacement> replacements;
-  replacements.reserve(pending.size());
-  for (const auto& [e, entries] : pending) {
-    replacements.push_back(EdgeTopicsReplacement{e, entries});
+  // every edge through InfluenceGraphBuilder's per-edge vectors. Updates
+  // applied sequentially, so each edge keeps its *last* entries, matching
+  // the envelope transitions above: collected in reverse batch order, a
+  // stable sort by edge puts each edge's last update first, which is the
+  // one std::unique keeps.
+  replacements_.clear();
+  for (auto it = updates.rbegin(); it != updates.rend(); ++it) {
+    replacements_.push_back(EdgeTopicsReplacement{it->edge, it->entries});
   }
-  network_.influence = ReplaceEdgeTopics(network_.influence, replacements);
+  std::stable_sort(replacements_.begin(), replacements_.end(),
+                   [](const EdgeTopicsReplacement& a,
+                      const EdgeTopicsReplacement& b) {
+                     return a.edge < b.edge;
+                   });
+  replacements_.erase(
+      std::unique(replacements_.begin(), replacements_.end(),
+                  [](const EdgeTopicsReplacement& a,
+                     const EdgeTopicsReplacement& b) {
+                    return a.edge == b.edge;
+                  }),
+      replacements_.end());
+  network_.influence = ReplaceEdgeTopics(network_.influence, replacements_);
+}
+
+void DynamicRrIndex::MarkDirty(std::span<const VertexId> vertices) {
+  for (const VertexId v : vertices) {
+    if (dirty_mark_[v] == 0) {
+      dirty_mark_[v] = 1;
+      dirty_.push_back(v);
+    }
+  }
+}
+
+void DynamicRrIndex::ClearDirtyVertices() {
+  for (const VertexId v : dirty_) dirty_mark_[v] = 0;
+  dirty_.clear();
 }
 
 void DynamicRrIndex::UpdateEdgeTopics(EdgeId edge,
@@ -153,6 +181,7 @@ void DynamicRrIndex::AdoptSketches(const RrIndex& checkpoint) {
   for (uint32_t id = 0; id < graphs_.size(); ++id) {
     for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
   }
+  dirty_mark_.assign(network_.num_vertices(), 0);
   envelope_ = EnvelopeTable(network_.graph, network_.influence);
 }
 
@@ -234,6 +263,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   }
   arena_.RebuildRepairedSketch(roots_[id], network_.num_vertices(), edges,
                                &rr);
+  MarkDirty(rr.vertices);
   for (const VertexId v : rr.vertices) {
     auto& list = containing_[v];
     list.insert(std::lower_bound(list.begin(), list.end(), id), id);
@@ -269,6 +299,7 @@ size_t DynamicRrIndex::SizeBytes() const {
     bytes += list.capacity() * sizeof(uint32_t) + sizeof(list);
   }
   bytes += roots_.capacity() * sizeof(VertexId);
+  bytes += dirty_mark_.capacity() + dirty_.capacity() * sizeof(VertexId);
   bytes += envelope_.SizeBytes();
   return bytes;
 }

@@ -122,6 +122,18 @@ class DynamicRrIndex final : public InfluenceOracle {
     return containing_[u];
   }
 
+  /// Vertices whose estimates may have changed since the last
+  /// ClearDirtyVertices() (unordered, no duplicates): the union of the
+  /// vertex sets of every sketch a repair examined, taken both before
+  /// and after the repair, so expansions count. A user outside this set
+  /// sees the same sketches, thresholds and edge probabilities on every
+  /// path an estimate reads, so its answers are unchanged. The serve
+  /// layer stamps it into each published snapshot (IndexSnapshot::
+  /// DirtiedAt) and clears it only once a publish succeeded, so a batch
+  /// whose publish failed folds into the next one.
+  std::span<const VertexId> dirty_vertices() const { return dirty_; }
+  void ClearDirtyVertices();
+
   /// Maintenance counters (ablation metrics).
   struct Stats {
     uint64_t update_batches = 0;
@@ -141,6 +153,7 @@ class DynamicRrIndex final : public InfluenceOracle {
   // p_new. Precondition: the graph contains head(e).
   void RepairGraph(uint32_t id, EdgeId e, double p_old, double p_new,
                    Rng* rng);
+  void MarkDirty(std::span<const VertexId> vertices);
 
   SocialNetwork network_;
   RrIndexOptions options_;
@@ -171,6 +184,15 @@ class DynamicRrIndex final : public InfluenceOracle {
   std::vector<VertexId> repair_stack_;
   std::vector<uint32_t> present_mark_;  // expansion membership stamps
   uint32_t present_epoch_ = 0;
+  // ApplyUpdates scratch, reused across batches: the affected-sketch
+  // list of one update (a copy, since repairs splice containment) and
+  // the batch's last-writer-wins CSR fold.
+  std::vector<uint32_t> affected_;
+  std::vector<EdgeTopicsReplacement> replacements_;
+  // Dirty-vertex set since the last ClearDirtyVertices(): membership
+  // flags plus the members in insertion order.
+  std::vector<uint8_t> dirty_mark_;
+  std::vector<VertexId> dirty_;
   bool built_ = false;
 };
 

@@ -14,6 +14,17 @@ PrunedRrIndex::PrunedRrIndex(const RrIndex* base,
   scratch_.Reserve(base->pool().max_sketch_vertices());
 }
 
+size_t PrunedRrIndex::Rebind(const RrIndex* base,
+                             const InfluenceGraph* influence,
+                             const std::function<bool(VertexId)>& dirtied) {
+  base_ = base;
+  influence_ = influence;
+  scratch_.Reserve(base->pool().max_sketch_vertices());
+  return std::erase_if(cache_, [&dirtied](const auto& entry) {
+    return dirtied(entry.first);
+  });
+}
+
 const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
   auto it = cache_.find(u);
   if (it != cache_.end()) return it->second;

@@ -11,12 +11,17 @@
 // is entirely dead is pruned without traversal. Surviving candidates are
 // verified by the Definition-3 BFS.
 //
-// Per-user filters are built lazily on first query and cached.
+// Per-user filters are built lazily on first query and cached. A filter
+// depends only on the sketches containing its user and the envelopes of
+// their edges, so it survives a move to a newer index version in which
+// those did not change (Rebind).
 
 #ifndef PITEX_SRC_INDEX_EDGE_CUT_H_
 #define PITEX_SRC_INDEX_EDGE_CUT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -38,6 +43,16 @@ class PrunedRrIndex final : public InfluenceOracle {
   /// `base` must outlive this object and be built.
   explicit PrunedRrIndex(const RrIndex* base, const InfluenceGraph* influence,
                          CutPolicy policy = CutPolicy::kBestOfTwo);
+
+  /// Moves to a newer version of the index: `base` and `influence`
+  /// replace the current ones. Sketch ids must be stable across the two
+  /// versions (DynamicRrIndex repairs in place). The cached filters of
+  /// users for which `dirtied(u)` is true are dropped; every other user's
+  /// sketches and cut-edge envelopes are unchanged, so its filter stays
+  /// exact. Never reads the previous base or influence. Returns the number
+  /// of filters dropped.
+  size_t Rebind(const RrIndex* base, const InfluenceGraph* influence,
+                const std::function<bool(VertexId)>& dirtied);
 
   Estimate EstimateInfluence(VertexId u, const EdgeProbFn& probs) override;
   const char* Name() const override { return "INDEXEST+"; }

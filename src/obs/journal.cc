@@ -53,7 +53,8 @@ EventJournal::EventJournal(size_t capacity) {
   mask_ = rounded - 1;
 }
 
-void EventJournal::Record(EventKind kind, uint64_t a, uint64_t b) {
+void EventJournal::Record(EventKind kind, uint64_t a, uint64_t b,
+                          uint64_t c) {
   const uint64_t claim = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[claim & mask_];
   // Seqlock write: stamp 0 marks the fields in flight; the final
@@ -66,6 +67,7 @@ void EventJournal::Record(EventKind kind, uint64_t a, uint64_t b) {
   slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
   slot.b.store(b, std::memory_order_relaxed);
+  slot.c.store(c, std::memory_order_relaxed);
   slot.stamp.store(claim + 1, std::memory_order_release);
 }
 
@@ -84,6 +86,7 @@ std::vector<Event> EventJournal::Snapshot() const {
     event.kind = static_cast<EventKind>(slot.kind.load(std::memory_order_relaxed));
     event.a = slot.a.load(std::memory_order_relaxed);
     event.b = slot.b.load(std::memory_order_relaxed);
+    event.c = slot.c.load(std::memory_order_relaxed);
     const uint64_t after = slot.stamp.load(std::memory_order_acquire);
     if (after != before) continue;  // torn by a concurrent writer
     stable.push_back(Stamped{before - 1, event});
@@ -103,10 +106,11 @@ void EventJournal::DumpTo(std::FILE* out) const {
                events.size(),
                static_cast<unsigned long long>(total_recorded()));
   for (const Event& event : events) {
-    std::fprintf(out, "t=%lldns %s a=%llu b=%llu\n",
+    std::fprintf(out, "t=%lldns %s a=%llu b=%llu c=%llu\n",
                  static_cast<long long>(event.t_ns), EventKindName(event.kind),
                  static_cast<unsigned long long>(event.a),
-                 static_cast<unsigned long long>(event.b));
+                 static_cast<unsigned long long>(event.b),
+                 static_cast<unsigned long long>(event.c));
   }
 }
 

@@ -60,7 +60,9 @@ enum class EventKind : uint8_t {
   /// Start() replayed the WAL tail over a checkpoint. a = replayed
   /// records, b = last LSN.
   kRecoveryReplay,
-  /// A worker rebuilt its engine for a new epoch. a = worker, b = epoch.
+  /// A worker bound its engine to a new epoch. a = worker, b = epoch,
+  /// c = per-user filters dropped (users the publishes since the
+  /// worker's previous epoch dirtied; 0 on a worker's first bind).
   kWorkerRebind,
   /// The WAL shipper sent its bootstrap checkpoint to a follower.
   /// a = checkpoint LSN (0 = none existed), b = shipper term.
@@ -85,6 +87,7 @@ struct Event {
   EventKind kind = EventKind::kShed;
   uint64_t a = 0;
   uint64_t b = 0;
+  uint64_t c = 0;
 };
 
 class EventJournal {
@@ -97,7 +100,8 @@ class EventJournal {
   EventJournal& operator=(const EventJournal&) = delete;
 
   /// Wait-free append; overwrites the oldest event when full.
-  void Record(EventKind kind, uint64_t a = 0, uint64_t b = 0);
+  void Record(EventKind kind, uint64_t a = 0, uint64_t b = 0,
+              uint64_t c = 0);
 
   /// Stable events oldest-first (mid-write slots skipped).
   std::vector<Event> Snapshot() const;
@@ -122,6 +126,7 @@ class EventJournal {
     std::atomic<uint8_t> kind{0};
     std::atomic<uint64_t> a{0};
     std::atomic<uint64_t> b{0};
+    std::atomic<uint64_t> c{0};
   };
 
   std::vector<Slot> slots_;

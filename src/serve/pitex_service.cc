@@ -73,6 +73,10 @@ void PitexService::RegisterMetrics() {
       "Queries whose budget was already gone at worker pickup");
   m_.cache_hits = metrics_.RegisterCounter(
       "pitex_cache_hits_total", "Result-cache hits observed by workers");
+  m_.cache_carried_hits = metrics_.RegisterCounter(
+      "pitex_cache_carried_hits_total",
+      "Result-cache hits on answers computed at an older epoch (the user "
+      "was not dirtied since)");
   m_.steals = metrics_.RegisterCounter(
       "pitex_steals_total", "Queries served off another worker's deque");
   m_.publish_retries = metrics_.RegisterCounter(
@@ -104,6 +108,10 @@ void PitexService::RegisterMetrics() {
       "Enqueue-to-answer latency of engine-served queries",
       {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
        0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0});
+  m_.publish_dirty_users = metrics_.RegisterHistogram(
+      "pitex_publish_dirty_users",
+      "Users whose answers a published batch may have changed",
+      {1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576});
   m_.cache_entries = metrics_.RegisterGauge(
       "pitex_cache_entries", "Result-cache entries currently resident");
   m_.cache_insertions = metrics_.RegisterGauge(
@@ -268,6 +276,9 @@ void PitexService::Start() {
         PITEX_CHECK_MSG(false,
                         "initial snapshot freeze failed after retries");
       }
+      // The initial snapshot marks every user dirtied at its epoch, so
+      // whatever recovery replay touched is covered.
+      master_->ClearDirtyVertices();
       // The initial snapshot covers everything recovery acknowledged.
       published_lsn_mirror_.store(
           durable_lsn_mirror_.load(std::memory_order_relaxed),
@@ -403,9 +414,22 @@ void PitexService::PumpLoop(size_t worker) {
   }
 }
 
-void PitexService::BindWorker(WorkerState* state,
-                              std::shared_ptr<const IndexSnapshot> snapshot,
-                              size_t worker) {
+size_t PitexService::BindWorker(WorkerState* state,
+                               std::shared_ptr<const IndexSnapshot> snapshot,
+                               size_t worker) {
+  if (state->engine != nullptr) {
+    // A later epoch of the same index (only kIndexEst / kIndexEstPlus
+    // ever publish one): keep the engine and every per-user filter of a
+    // user no publish since the worker's epoch dirtied.
+    const IndexSnapshot& next = *snapshot;
+    const uint64_t since = state->engine_epoch;
+    const size_t dropped = state->engine->Rebind(
+        &next.network(), next.rr_index(),
+        [&next, since](VertexId u) { return next.DirtiedAt(u) > since; });
+    state->engine_epoch = next.epoch();
+    state->snapshot = std::move(snapshot);
+    return dropped;
+  }
   EngineOptions worker_options = options_.engine;
   worker_options.seed = options_.engine.seed + worker;
   auto engine =
@@ -433,6 +457,7 @@ void PitexService::BindWorker(WorkerState* state,
   state->engine = std::move(engine);
   state->engine_epoch = snapshot->epoch();
   state->snapshot = std::move(snapshot);  // pin: keeps the epoch alive
+  return 0;
 }
 
 void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
@@ -443,9 +468,9 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
   std::shared_ptr<const IndexSnapshot> snapshot = registry_.Current();
   WorkerState& state = workers_[worker];
   if (state.engine == nullptr || state.engine_epoch != snapshot->epoch()) {
-    BindWorker(&state, std::move(snapshot), worker);
-    journal_.Record(obs::EventKind::kWorkerRebind, worker,
-                    state.engine_epoch);
+    const size_t dropped = BindWorker(&state, std::move(snapshot), worker);
+    journal_.Record(obs::EventKind::kWorkerRebind, worker, state.engine_epoch,
+                    dropped);
   }
 
   ResultCacheKey key;
@@ -457,6 +482,7 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
   ServedResult outs[kMaxRunLength];
   size_t count = 0;
   uint64_t hit_count = 0;
+  uint64_t carried_count = 0;
   uint64_t degraded_count = 0;
   uint64_t deadline_count = 0;
 
@@ -480,6 +506,7 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
     out.trace_id = item.trace.id();
     key.user = item.query.user;
     key.k = static_cast<uint32_t>(item.query.k);
+    key.dirtied_at = state.snapshot->DirtiedAt(item.query.user);
 
     // A query budget is measured from enqueue, so queue wait counts
     // against it; the engine gets whatever remains.
@@ -508,13 +535,15 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
     }
 
     bool cache_hit = false;
+    uint64_t computed_epoch = 0;
     if (cache_ != nullptr) {
       PITEX_SPAN(kCacheProbe);
-      cache_hit = cache_->Lookup(key, &out.ranking);
+      cache_hit = cache_->Lookup(key, &out.ranking, &computed_epoch);
     }
     if (cache_hit) {
       out.cache_hit = true;
       ++hit_count;
+      if (computed_epoch < key.epoch) ++carried_count;
       out.result = PitexResult{};
       out.result.tags = out.ranking.front().tags;
       out.result.influence = out.ranking.front().influence;
@@ -566,6 +595,7 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
   m_.degraded->Inc(degraded_count);
   m_.deadline_expired->Inc(deadline_count);
   m_.cache_hits->Inc(hit_count);
+  m_.cache_carried_hits->Inc(carried_count);
   if (stolen) m_.steals->Inc(count);
   for (size_t i = 0; i < count; ++i) m_.sojourn->Observe(latencies[i]);
   {
@@ -738,9 +768,12 @@ std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
   std::shared_ptr<const IndexSnapshot> snapshot;
   double backoff_ms = options_.publish_backoff_initial_ms;
   const size_t attempts = std::max<size_t>(1, options_.publish_max_attempts);
+  // The master's dirty set accumulated since the snapshot being
+  // replaced (none at Start: every user is then dirtied at `epoch`).
+  const std::shared_ptr<const IndexSnapshot> previous = registry_.Current();
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
     snapshot = IndexSnapshot::FromDynamic(*master_, epoch,
-                                          publish_pool_.get());
+                                          publish_pool_.get(), previous.get());
     if (snapshot != nullptr) break;
     m_.publish_retries->Inc();
     journal_.Record(obs::EventKind::kPublishRetry, epoch, attempt + 1);
@@ -859,10 +892,12 @@ uint64_t PitexService::ApplyUpdates(
   if (snapshot == nullptr) {
     // Every freeze attempt failed. The repairs are NOT lost: they are
     // staged in the master, readers keep serving the previous epoch, and
-    // the next successful publish folds them in. With durability on the
-    // batch IS already committed to the WAL -- recovery replays it even
-    // though no epoch carried it yet. The staleness gauges go nonzero
-    // here: applied/durable advanced, published did not.
+    // the next successful publish folds them in -- their dirty users
+    // included, since the master's dirty set is cleared only on success.
+    // With durability on the batch IS already committed to the WAL --
+    // recovery replays it even though no epoch carried it yet. The
+    // staleness gauges go nonzero here: applied/durable advanced,
+    // published did not.
     m_.publish_failures->Inc();
     journal_.Record(obs::EventKind::kPublishFailure, epoch);
     *outcome = ApplyUpdatesOutcome::kPublishFailed;
@@ -872,6 +907,9 @@ uint64_t PitexService::ApplyUpdates(
     PITEX_SPAN(kSwap);
     registry_.Publish(snapshot);
   }
+  m_.publish_dirty_users->Observe(
+      static_cast<double>(master_->dirty_vertices().size()));
+  master_->ClearDirtyVertices();
   published_batches_.store(applied_batches_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
   published_lsn_mirror_.store(last_durable_lsn_, std::memory_order_relaxed);

@@ -21,12 +21,15 @@
 //     repairs a shadow DynamicRrIndex master and publishes a fresh
 //     immutable snapshot, so in-flight queries finish on the epoch they
 //     started while new queries see the repaired index (see
-//     src/serve/snapshot_registry.h);
-//   * memoization — answers are cached per (user, k, top_n, method,
-//     epoch) in a sharded LRU ResultCache; epoch keying makes update
-//     invalidation free. The cache is forced off in deterministic mode
-//     (a hit would skip sampler RNG advancement and change every later
-//     answer on that worker).
+//     src/serve/snapshot_registry.h). A worker moving to a new epoch
+//     rebinds its engine (PitexEngine::Rebind) and drops only the
+//     per-user state of users the publishes in between dirtied;
+//   * memoization — answers are cached per (user, k, top_n, method) in a
+//     sharded LRU ResultCache, stamped with the epoch that computed them;
+//     an answer stays servable at later epochs until its user is dirtied
+//     (IndexSnapshot::DirtiedAt). The cache is forced off in
+//     deterministic mode (a hit would skip sampler RNG advancement and
+//     change every later answer on that worker).
 //
 // Threading: built on util/thread_pool — Start() parks one pump task per
 // pool worker via SubmitIndexed, whose worker index keys the engine
@@ -383,6 +386,7 @@ class PitexService {
     obs::Counter* degraded = nullptr;
     obs::Counter* deadline_expired = nullptr;
     obs::Counter* cache_hits = nullptr;
+    obs::Counter* cache_carried_hits = nullptr;
     obs::Counter* steals = nullptr;
     obs::Counter* publish_retries = nullptr;
     obs::Counter* publish_failures = nullptr;
@@ -394,6 +398,7 @@ class PitexService {
     obs::Counter* recovery_replayed = nullptr;
     obs::Counter* fenced_writes = nullptr;
     obs::Histogram* sojourn = nullptr;
+    obs::Histogram* publish_dirty_users = nullptr;
     // Derived gauges, written only by CollectDerivedMetrics().
     obs::Gauge* cache_entries = nullptr;
     obs::Gauge* cache_insertions = nullptr;
@@ -414,9 +419,11 @@ class PitexService {
       PITEX_EXCLUDES(sched_mutex_, stats_mutex_, batch_mutex_);
   void ServeRun(size_t worker, std::vector<PendingQuery>* run, bool stolen)
       PITEX_EXCLUDES(stats_mutex_, batch_mutex_);
-  void BindWorker(WorkerState* state,
-                  std::shared_ptr<const IndexSnapshot> snapshot,
-                  size_t worker);
+  /// Binds worker `worker` to `snapshot`: a fresh engine on first use,
+  /// else PitexEngine::Rebind. Returns the per-user filters dropped.
+  size_t BindWorker(WorkerState* state,
+                    std::shared_ptr<const IndexSnapshot> snapshot,
+                    size_t worker);
   /// Freezes a snapshot of the master at `epoch`, retrying with jittered
   /// exponential backoff on (possibly fault-injected) failure. Returns
   /// nullptr after options_.publish_max_attempts failures. Maintains the

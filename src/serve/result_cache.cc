@@ -20,12 +20,27 @@ ResultCache::ResultCache(size_t capacity, size_t num_shards)
   }
 }
 
-ResultCache::Shard& ResultCache::ShardFor(const ResultCacheKey& key) {
-  return *shards_[ResultCacheKeyHash{}(key) % shards_.size()];
+size_t ResultCache::SlotHash::operator()(const Slot& slot) const {
+  // FNV-1a over the field values; cheap and well-mixed for shard
+  // selection and bucket placement alike.
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  mix(slot.user);
+  mix((static_cast<uint64_t>(slot.k) << 40) |
+      (static_cast<uint64_t>(slot.top_n) << 8) | slot.method);
+  return static_cast<size_t>(h);
+}
+
+ResultCache::Shard& ResultCache::ShardFor(const Slot& slot) {
+  return *shards_[SlotHash{}(slot) % shards_.size()];
 }
 
 bool ResultCache::Lookup(const ResultCacheKey& key,
-                         std::vector<RankedTagSet>* out) {
+                         std::vector<RankedTagSet>* out,
+                         uint64_t* computed_epoch) {
   if (!enabled()) return false;
   PITEX_COUNT(kCacheProbes, 1);
   // Chaos hook, evaluated before the shard lock: a fired fault is a
@@ -33,16 +48,20 @@ bool ResultCache::Lookup(const ResultCacheKey& key,
   // locked in time. The caller recomputes -- correctness is unaffected,
   // which is the property the chaos suite pins.
   if (PITEX_FAILPOINT("result_cache/shard_lock")) return false;
-  Shard& shard = ShardFor(key);
+  const Slot slot = SlotOf(key);
+  Shard& shard = ShardFor(slot);
   MutexLock lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  const auto it = shard.index.find(slot);
+  const uint64_t valid_from = std::min(key.dirtied_at, key.epoch);
+  if (it == shard.index.end() || it->second->epoch < valid_from ||
+      it->second->epoch > key.epoch) {
     ++shard.misses;
     return false;
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *out = it->second->second;
+  *out = it->second->ranking;
+  if (computed_epoch != nullptr) *computed_epoch = it->second->epoch;
   return true;
 }
 
@@ -54,19 +73,28 @@ void ResultCache::Insert(const ResultCacheKey& key,
   // was contended past a deadline. Caching is memoization, so a dropped
   // insert only costs a future recompute.
   if (PITEX_FAILPOINT("result_cache/shard_lock")) return;
-  Shard& shard = ShardFor(key);
+  const Slot slot = SlotOf(key);
+  Shard& shard = ShardFor(slot);
   MutexLock lock(shard.mutex);
-  const auto it = shard.index.find(key);
+  const auto it = shard.index.find(slot);
   if (it != shard.index.end()) {
-    it->second->second = ranking;
+    Entry& entry = *it->second;
+    if (entry.epoch > key.epoch) return;  // a lagging worker's answer
+    if (entry.epoch < key.epoch) {
+      // The older answer leaves the cache and the newer one enters it.
+      ++shard.insertions;
+      ++shard.evictions;
+      entry.epoch = key.epoch;
+    }
+    entry.ranking = ranking;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.emplace_front(key, ranking);
-  shard.index.emplace(key, shard.lru.begin());
+  shard.lru.push_front(Entry{slot, key.epoch, ranking});
+  shard.index.emplace(slot, shard.lru.begin());
   ++shard.insertions;
   while (shard.lru.size() > shard.capacity) {
-    shard.index.erase(shard.lru.back().first);
+    shard.index.erase(shard.lru.back().slot);
     shard.lru.pop_back();
     ++shard.evictions;
   }

@@ -5,14 +5,25 @@
 // function of (user, k, top_n, method, index epoch): the index methods
 // are deterministic given a snapshot, and for the sampling methods any
 // best-effort answer within the accuracy envelope is equally valid, so
-// replaying the first one is sound. Keying on the snapshot epoch makes
-// invalidation free: publishing a repaired index bumps the epoch and all
-// cached entries for older epochs simply stop being reachable (and age
-// out of the LRU) — no scan, no flush, and a query in flight on an old
-// snapshot can still hit entries of its own epoch.
+// replaying the first one is sound.
 //
-// Sharding: the key hash picks one of N independently locked shards, so
-// concurrent workers rarely contend; each shard runs its own LRU list.
+// Epochs and invalidation. The cache holds one entry per (user, k,
+// top_n, method), stamped with the epoch it was computed at. A publish
+// changes the answers of only the users its batch touched: each snapshot
+// records, per user, the latest epoch at which that user's answers may
+// have changed (IndexSnapshot::DirtiedAt). A lookup at serving epoch e
+// therefore hits an entry computed at epoch c iff DirtiedAt_e(user) <= c
+// <= e -- the answer is provably the one epoch e would compute -- so the
+// entries of untouched users carry across publishes with no scan and no
+// flush. An entry newer than the serving epoch (a lagging worker still
+// on an older snapshot) misses, and that worker's insert never
+// overwrites the newer entry. A key without a DirtiedAt (the default)
+// matches only entries of its own epoch.
+//
+// Sharding: a hash of (user, k, top_n, method) picks one of N
+// independently locked shards -- every epoch of one query shares a
+// shard and a slot -- so concurrent workers rarely contend; each shard
+// runs its own LRU list.
 
 #ifndef PITEX_SRC_SERVE_RESULT_CACHE_H_
 #define PITEX_SRC_SERVE_RESULT_CACHE_H_
@@ -22,7 +33,6 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/core/best_effort_solver.h"
@@ -32,34 +42,21 @@
 
 namespace pitex {
 
-/// Identity of a memoizable serving answer. Two queries with equal keys
-/// are interchangeable: same user, same search shape, same method, and
-/// the same immutable index snapshot.
+/// Identity of a memoizable serving answer: user, search shape and
+/// method select the cache slot; `epoch` is the epoch an inserted answer
+/// was computed at, or the serving epoch of a lookup.
 struct ResultCacheKey {
   VertexId user = 0;
   uint32_t k = 0;
   uint32_t top_n = 0;
   uint8_t method = 0;  // static_cast<uint8_t>(Method)
   uint64_t epoch = 0;
+  /// Lookup only: the serving snapshot's DirtiedAt(user). Entries
+  /// computed at any epoch in [dirtied_at, epoch] hit. The default
+  /// matches only entries computed at `epoch` itself.
+  uint64_t dirtied_at = UINT64_MAX;
 
   bool operator==(const ResultCacheKey&) const = default;
-};
-
-struct ResultCacheKeyHash {
-  size_t operator()(const ResultCacheKey& key) const {
-    // FNV-1a over the field values; cheap and well-mixed for shard
-    // selection and bucket placement alike.
-    uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 0x100000001b3ULL;
-    };
-    mix(key.user);
-    mix((static_cast<uint64_t>(key.k) << 40) |
-        (static_cast<uint64_t>(key.top_n) << 8) | key.method);
-    mix(key.epoch);
-    return static_cast<size_t>(h);
-  }
 };
 
 class ResultCache {
@@ -72,12 +69,19 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// On hit, copies the cached ranking into `*out` (cleared first),
-  /// promotes the entry to most-recently-used, and returns true.
-  bool Lookup(const ResultCacheKey& key, std::vector<RankedTagSet>* out);
+  /// Hits when the slot's entry was computed at an epoch in
+  /// [min(key.dirtied_at, key.epoch), key.epoch]. On hit, copies the
+  /// cached ranking into `*out`, promotes the entry to most-recently-used,
+  /// stores the entry's epoch in `*computed_epoch` (when non-null), and
+  /// returns true.
+  bool Lookup(const ResultCacheKey& key, std::vector<RankedTagSet>* out,
+              uint64_t* computed_epoch = nullptr);
 
-  /// Inserts (or refreshes) the ranking for `key`, evicting the shard's
-  /// least-recently-used entry when over budget.
+  /// Stores the ranking computed at `key.epoch`, evicting the shard's
+  /// least-recently-used entry when over budget. An entry of the same
+  /// epoch is refreshed; an older one is replaced (counted as an
+  /// insertion and an eviction, so insertions == entries + evictions
+  /// holds); a newer one wins and the insert is dropped.
   void Insert(const ResultCacheKey& key,
               const std::vector<RankedTagSet>& ranking);
 
@@ -96,13 +100,28 @@ class ResultCache {
   bool enabled() const { return capacity_ > 0; }
 
  private:
-  using Entry = std::pair<ResultCacheKey, std::vector<RankedTagSet>>;
+  // (user, k, top_n, method): every epoch of one query shares a slot.
+  struct Slot {
+    VertexId user = 0;
+    uint32_t k = 0;
+    uint32_t top_n = 0;
+    uint8_t method = 0;
+
+    bool operator==(const Slot&) const = default;
+  };
+  struct SlotHash {
+    size_t operator()(const Slot& slot) const;
+  };
+  struct Entry {
+    Slot slot;
+    uint64_t epoch = 0;  // the epoch the ranking was computed at
+    std::vector<RankedTagSet> ranking;
+  };
   struct Shard {
     Mutex mutex;
     std::list<Entry> lru PITEX_GUARDED_BY(mutex);  // front = MRU
-    std::unordered_map<ResultCacheKey, std::list<Entry>::iterator,
-                       ResultCacheKeyHash>
-        index PITEX_GUARDED_BY(mutex);
+    std::unordered_map<Slot, std::list<Entry>::iterator, SlotHash> index
+        PITEX_GUARDED_BY(mutex);
     // Written once by the ResultCache constructor before any concurrent
     // access (the shard vector is published by the constructor's return),
     // immutable afterwards — deliberately not guarded.
@@ -113,7 +132,10 @@ class ResultCache {
     uint64_t evictions PITEX_GUARDED_BY(mutex) = 0;
   };
 
-  Shard& ShardFor(const ResultCacheKey& key);
+  static Slot SlotOf(const ResultCacheKey& key) {
+    return Slot{key.user, key.k, key.top_n, key.method};
+  }
+  Shard& ShardFor(const Slot& slot);
 
   size_t capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

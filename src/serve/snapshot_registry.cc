@@ -25,7 +25,8 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
 }
 
 std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
-    const DynamicRrIndex& master, uint64_t epoch, ThreadPool* pack_pool) {
+    const DynamicRrIndex& master, uint64_t epoch, ThreadPool* pack_pool,
+    const IndexSnapshot* previous) {
   // Chaos hook: a freeze that "fails" before any work models the
   // transient failures (allocation pressure, wedged pack pool) a real
   // publish path must survive. Callers treat nullptr as a retryable
@@ -60,6 +61,18 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
                                           master.theta(), std::move(pool));
   snapshot->network_ = std::move(network);
   snapshot->epoch_ = epoch;
+  if (previous != nullptr) {
+    PITEX_CHECK_MSG(previous->epoch_ < epoch, "snapshot epochs must increase");
+    // O(|V|) copy-forward: negligible beside the network copy above.
+    if (previous->dirtied_at_.empty()) {
+      snapshot->dirtied_at_.assign(num_vertices, previous->epoch_);
+    } else {
+      snapshot->dirtied_at_ = previous->dirtied_at_;
+    }
+    for (const VertexId v : master.dirty_vertices()) {
+      snapshot->dirtied_at_[v] = epoch;
+    }
+  }
   return snapshot;
 }
 

@@ -14,6 +14,12 @@
 //     shadow copy no reader ever sees — and publishing packs the master
 //     into a fresh snapshot and swaps the registry's current pointer
 //     under a mutex held for nanoseconds, not for the repair;
+//   * each snapshot carries a dirty-user map (DirtiedAt): per vertex, the
+//     latest epoch at which its answers may have changed. Readers keep
+//     every per-user result computed at an epoch no older than that --
+//     cached answers (ResultCache) and per-user engine state
+//     (PitexEngine::Rebind) -- so a publish invalidates only the users
+//     its batch touched, not the whole read side;
 //   * reclamation is refcount-by-epoch: each query pins the snapshot it
 //     started on via shared_ptr, so an old epoch stays alive exactly
 //     until its last in-flight reader finishes, then frees itself. The
@@ -58,6 +64,15 @@ class IndexSnapshot {
   const std::string& delay_snapshot() const { return delay_snapshot_; }
   uint64_t epoch() const { return epoch_; }
 
+  /// The latest epoch at or before epoch() at which u's answers may have
+  /// changed: an answer for u computed at any epoch in [DirtiedAt(u),
+  /// epoch()] equals the one this snapshot gives. A snapshot with no
+  /// predecessor (the first publish, recovery, Wrap) reports its own
+  /// epoch for every vertex.
+  uint64_t DirtiedAt(VertexId u) const {
+    return dirtied_at_.empty() ? epoch_ : dirtied_at_[u];
+  }
+
   /// Aliases `network` without copying (initial snapshot on a caller-
   /// owned network; `network` must outlive the snapshot). `rr_index` may
   /// be null for online methods.
@@ -77,9 +92,16 @@ class IndexSnapshot {
   /// in for the transient failures a real publish path must survive.
   /// Callers must treat nullptr as retryable (see
   /// PitexService::ApplyUpdates for the retry/backoff policy).
+  ///
+  /// `previous` is the snapshot the master's dirty set
+  /// (DynamicRrIndex::dirty_vertices) accumulated since: its DirtiedAt
+  /// map is copied forward with the dirty vertices stamped `epoch`. Null
+  /// marks every vertex dirtied at `epoch`. The caller clears the
+  /// master's dirty set once the snapshot is published.
   static std::shared_ptr<const IndexSnapshot> FromDynamic(
       const DynamicRrIndex& master, uint64_t epoch,
-      ThreadPool* pack_pool = nullptr);
+      ThreadPool* pack_pool = nullptr,
+      const IndexSnapshot* previous = nullptr);
 
  private:
   IndexSnapshot() = default;
@@ -88,6 +110,8 @@ class IndexSnapshot {
   std::unique_ptr<RrIndex> rr_index_;
   std::string delay_snapshot_;
   uint64_t epoch_ = 0;
+  // DirtiedAt per vertex; empty = every vertex dirtied at epoch_.
+  std::vector<uint64_t> dirtied_at_;
 };
 
 class IndexSnapshotRegistry {

@@ -1,18 +1,23 @@
 // Tests for incremental index maintenance (src/index/dynamic_index.h):
 // bit-identical initial state vs. the static index, exact affected-set
 // computation, repair correctness against fresh rebuilds and the exact
-// oracle, and deterministic repair histories.
+// oracle, deterministic repair histories, and the soundness of the dirty
+// set a publish invalidates.
 
 #include "src/index/dynamic_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "running_example.h"
+#include "src/core/engine.h"
 #include "src/datasets/synthetic.h"
 #include "src/sampling/exact.h"
+#include "src/serve/snapshot_registry.h"
 
 namespace pitex {
 namespace {
@@ -354,6 +359,181 @@ TEST(DynamicRrIndexTest, ContainmentStaysConsistentAfterRepairs) {
     contained += index.graph(i).vertices.size();
   }
   EXPECT_EQ(listed, contained);
+}
+
+// Every Explore output a fresh engine gives on one snapshot, per
+// (method, user, k): the fields an unchanged index must reproduce bit
+// for bit.
+struct ExploreAnswer {
+  std::vector<TagId> tags;
+  double influence = 0.0;
+  uint64_t edges_visited = 0;
+  uint64_t sets_evaluated = 0;
+
+  bool operator==(const ExploreAnswer&) const = default;
+};
+
+constexpr Method kIndexMethods[] = {Method::kIndexEst, Method::kIndexEstPlus};
+constexpr size_t kMaxK = 2;
+
+// answers[m][u * kMaxK + (k - 1)] for method kIndexMethods[m].
+using SnapshotAnswers = std::vector<std::vector<ExploreAnswer>>;
+
+SnapshotAnswers ExploreEveryUser(const IndexSnapshot& snapshot) {
+  SnapshotAnswers answers;
+  for (const Method method : kIndexMethods) {
+    EngineOptions options;
+    options.method = method;
+    PitexEngine engine(&snapshot.network(), options);
+    engine.UseSharedRrIndex(snapshot.rr_index());
+    engine.BuildIndex();
+    std::vector<ExploreAnswer>& out = answers.emplace_back();
+    for (VertexId u = 0; u < snapshot.network().num_vertices(); ++u) {
+      for (size_t k = 1; k <= kMaxK; ++k) {
+        const PitexResult r = engine.Explore({.user = u, .k = k});
+        out.push_back({r.tags, r.influence, r.edges_visited,
+                       r.sets_evaluated});
+      }
+    }
+  }
+  return answers;
+}
+
+// A batch of `size` updates: uniformly random edges ("random") or the
+// out-edges of the highest out-degree vertices ("hub"). Every third
+// update sets a high probability, so dead edges resurrect and sketches
+// expand; every fifth deletes the edge's influence, so sketches prune.
+std::vector<EdgeInfluenceUpdate> MakeBatch(const SocialNetwork& n,
+                                           const std::vector<VertexId>& hubs,
+                                           bool hub, size_t size, Rng* rng) {
+  std::vector<EdgeInfluenceUpdate> batch(size);
+  for (size_t i = 0; i < size; ++i) {
+    EdgeInfluenceUpdate& update = batch[i];
+    if (hub) {
+      const auto out =
+          n.graph.OutEdges(hubs[rng->NextBounded(hubs.size())]);
+      update.edge = out[rng->NextBounded(out.size())].edge;
+    } else {
+      update.edge = static_cast<EdgeId>(rng->NextBounded(n.num_edges()));
+    }
+    if (i % 5 == 4) continue;  // deletion
+    const double prob = i % 3 == 0 ? 0.9 : 0.05 + 0.3 * rng->NextDouble();
+    update.entries = {
+        {static_cast<TopicId>(rng->NextBounded(n.topics.num_topics())),
+         prob}};
+  }
+  return batch;
+}
+
+TEST(DynamicRrIndexTest, DirtySetCoversEveryChangedAnswer) {
+  DatasetSpec spec;
+  spec.num_vertices = 240;
+  spec.avg_out_degree = 5.0;
+  spec.num_topics = 4;
+  spec.num_tags = 10;
+  spec.tag_topic_density = 0.5;
+  spec.seed = 31;
+  const SocialNetwork n = GenerateDataset(spec);
+  RrIndexOptions options;
+  options.theta_override = 1500;
+  options.seed = 9;
+  DynamicRrIndex master(n, options);
+  master.Build();
+
+  std::vector<VertexId> hubs(n.num_vertices());
+  for (VertexId v = 0; v < n.num_vertices(); ++v) hubs[v] = v;
+  std::stable_sort(hubs.begin(), hubs.end(), [&n](VertexId a, VertexId b) {
+    return n.graph.OutDegree(a) > n.graph.OutDegree(b);
+  });
+  hubs.resize(4);
+
+  uint64_t epoch = 1;
+  std::shared_ptr<const IndexSnapshot> before =
+      IndexSnapshot::FromDynamic(master, epoch);
+  master.ClearDirtyVertices();
+  SnapshotAnswers answers_before = ExploreEveryUser(*before);
+  Rng rng(77);
+  size_t clean_checked = 0, dirty_changed = 0, expanded = 0;
+  for (int round = 0; round < 6; ++round) {
+    const bool hub = round % 2 == 1;
+    const auto batch = MakeBatch(n, hubs, hub, 4, &rng);
+    std::vector<std::vector<uint32_t>> containing_before(n.num_vertices());
+    for (VertexId v = 0; v < n.num_vertices(); ++v) {
+      containing_before[v] = master.Containing(v);
+    }
+    std::vector<size_t> sizes_before;
+    for (const RRGraph& rr : master.graphs()) {
+      sizes_before.push_back(rr.vertices.size());
+    }
+
+    master.ApplyUpdates(batch);
+    ++epoch;
+    std::shared_ptr<const IndexSnapshot> after =
+        IndexSnapshot::FromDynamic(master, epoch, nullptr, before.get());
+    const std::set<VertexId> dirty(master.dirty_vertices().begin(),
+                                   master.dirty_vertices().end());
+    ASSERT_EQ(dirty.size(), master.dirty_vertices().size()) << "duplicates";
+    ASSERT_LT(dirty.size(), n.num_vertices()) << "round " << round;
+    for (size_t i = 0; i < master.num_graphs(); ++i) {
+      if (master.graph(i).vertices.size() > sizes_before[i]) ++expanded;
+    }
+
+    const SnapshotAnswers answers_after = ExploreEveryUser(*after);
+    for (VertexId u = 0; u < n.num_vertices(); ++u) {
+      const bool is_dirty = dirty.count(u) > 0;
+      if (master.Containing(u) != containing_before[u]) {
+        EXPECT_TRUE(is_dirty) << "membership of " << u << " changed";
+      }
+      EXPECT_EQ(after->DirtiedAt(u),
+                is_dirty ? epoch : before->DirtiedAt(u));
+      for (size_t m = 0; m < answers_after.size(); ++m) {
+        for (size_t k = 1; k <= kMaxK; ++k) {
+          const size_t i = u * kMaxK + (k - 1);
+          const bool same = answers_before[m][i] == answers_after[m][i];
+          if (is_dirty) {
+            dirty_changed += same ? 0 : 1;
+            continue;
+          }
+          ++clean_checked;
+          EXPECT_TRUE(same) << MethodName(kIndexMethods[m]) << " user " << u
+                            << " k " << k << " round " << round;
+        }
+      }
+    }
+    master.ClearDirtyVertices();
+    before = std::move(after);
+    answers_before = answers_after;
+  }
+  // Not vacuous: clean users were compared, some dirty users' answers
+  // really moved, and at least one repair expanded a sketch.
+  EXPECT_GT(clean_checked, 0u);
+  EXPECT_GT(dirty_changed, 0u);
+  EXPECT_GT(expanded, 0u);
+}
+
+TEST(DynamicRrIndexTest, DirtySetAccumulatesUntilCleared) {
+  const SocialNetwork n = MakeRunningExample();
+  DynamicRrIndex index(n, SmallOptions());
+  index.Build();
+  EXPECT_TRUE(index.dirty_vertices().empty());
+
+  const EdgeTopicEntry entries[] = {{2, 0.3}};
+  index.UpdateEdgeTopics(4, entries);  // head u6
+  const std::set<VertexId> first(index.dirty_vertices().begin(),
+                                 index.dirty_vertices().end());
+  EXPECT_TRUE(first.count(n.graph.Head(4)));
+  // A second batch (as after a failed publish) only adds to the set.
+  index.UpdateEdgeTopics(0, entries);  // head u2
+  const std::set<VertexId> both(index.dirty_vertices().begin(),
+                                index.dirty_vertices().end());
+  EXPECT_TRUE(std::includes(both.begin(), both.end(), first.begin(),
+                            first.end()));
+  EXPECT_TRUE(both.count(n.graph.Head(0)));
+
+  index.ClearDirtyVertices();
+  EXPECT_TRUE(index.dirty_vertices().empty());
+  index.UpdateEdgeTopics(0, entries);
+  EXPECT_FALSE(index.dirty_vertices().empty());
 }
 
 }  // namespace

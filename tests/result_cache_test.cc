@@ -1,7 +1,8 @@
 // Tests for the serving-layer result cache (src/serve/result_cache.h):
 // hit/miss behavior, LRU eviction per shard, epoch keying, counters,
-// concurrent access (including epoch churn), and the shard-lock fail
-// point.
+// concurrent access (including epoch churn), the shard-lock fail point,
+// and answers carried across epochs (the DirtiedAt range rule, lagging
+// workers' inserts).
 
 #include "src/serve/result_cache.h"
 
@@ -198,6 +199,109 @@ TEST(ResultCacheTest, ShardLockFailpointForcesMissAndDropsInsert) {
   // The pre-fault entry survived; the faulted insert never landed.
   EXPECT_TRUE(cache.Lookup(MakeKey(1), &out));
   EXPECT_FALSE(cache.Lookup(MakeKey(2), &out));
+}
+
+ResultCacheKey KeyAt(VertexId user, uint64_t epoch, uint64_t dirtied_at) {
+  ResultCacheKey key = MakeKey(user, epoch);
+  key.dirtied_at = dirtied_at;
+  return key;
+}
+
+TEST(ResultCacheTest, CarriedAnswerHitsWithinItsDirtiedAtRange) {
+  ResultCache cache(16, 2);
+  cache.Insert(MakeKey(1, /*epoch=*/3), MakeRanking(7, 3.5));
+  std::vector<RankedTagSet> out;
+  uint64_t computed = 0;
+  // Serving epoch 5, user last dirtied at 2 <= 3: the epoch-3 answer is
+  // still the answer, and the hit reports where it came from.
+  ASSERT_TRUE(cache.Lookup(KeyAt(1, 5, 2), &out, &computed));
+  EXPECT_EQ(computed, 3u);
+  EXPECT_DOUBLE_EQ(out[0].influence, 3.5);
+  // Dirtied exactly at the computing epoch: still valid.
+  EXPECT_TRUE(cache.Lookup(KeyAt(1, 5, 3), &out));
+  // Dirtied after it: the answer may have changed.
+  EXPECT_FALSE(cache.Lookup(KeyAt(1, 5, 4), &out));
+  // A serving epoch older than the entry never sees it.
+  EXPECT_FALSE(cache.Lookup(KeyAt(1, 2, 1), &out));
+  // Without a DirtiedAt a key matches only its own epoch.
+  EXPECT_FALSE(cache.Lookup(MakeKey(1, 5), &out));
+  EXPECT_TRUE(cache.Lookup(MakeKey(1, 3), &out, &computed));
+  EXPECT_EQ(computed, 3u);
+  const ResultCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+}
+
+TEST(ResultCacheTest, NewerInsertReplacesAndCountsAnEviction) {
+  ResultCache cache(16, 1);
+  cache.Insert(MakeKey(1, /*epoch=*/2), MakeRanking(1, 1.0));
+  cache.Insert(MakeKey(1, /*epoch=*/4), MakeRanking(2, 2.0));
+  std::vector<RankedTagSet> out;
+  EXPECT_FALSE(cache.Lookup(MakeKey(1, 2), &out));
+  ASSERT_TRUE(cache.Lookup(MakeKey(1, 4), &out));
+  EXPECT_EQ(out[0].tags, std::vector<TagId>{2});
+  const ResultCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.insertions, stats.entries + stats.evictions);
+}
+
+TEST(ResultCacheTest, LaggingWorkersInsertNeverOverwritesNewerEntry) {
+  ResultCache cache(16, 1);
+  cache.Insert(MakeKey(1, /*epoch=*/5), MakeRanking(5, 5.0));
+  // A worker still bound to epoch 3 missed (the entry is newer than its
+  // epoch) and computed its own answer; inserting it must not roll the
+  // slot back.
+  std::vector<RankedTagSet> out;
+  EXPECT_FALSE(cache.Lookup(KeyAt(1, 3, 1), &out));
+  cache.Insert(MakeKey(1, /*epoch=*/3), MakeRanking(3, 3.0));
+  uint64_t computed = 0;
+  ASSERT_TRUE(cache.Lookup(KeyAt(1, 6, 1), &out, &computed));
+  EXPECT_EQ(computed, 5u);
+  EXPECT_EQ(out[0].tags, std::vector<TagId>{5});
+  const ResultCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(ResultCacheTest, ConcurrentLaggingWorkersKeepCountsConserved) {
+  // Workers pinned to different epochs race inserts and range lookups on
+  // a small cache. Whatever wins, a hit returns an answer computed at an
+  // epoch inside the looked-up range (the tag encodes it), and every
+  // insertion is resident or evicted.
+  ResultCache cache(24, 4);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kEpochs = 12;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      std::vector<RankedTagSet> out;
+      for (uint64_t e = 1; e <= kEpochs; ++e) {
+        // Thread t lags t epochs behind the leader.
+        const uint64_t epoch = e > static_cast<uint64_t>(t) ? e - t : 1;
+        for (VertexId user = 0; user < 16; ++user) {
+          // Users are dirtied every (user % 3 + 1) epochs.
+          const uint64_t period = user % 3 + 1;
+          const uint64_t dirtied = 1 + (epoch - 1) / period * period;
+          uint64_t computed = 0;
+          if (cache.Lookup(KeyAt(user, epoch, dirtied), &out, &computed)) {
+            ASSERT_GE(computed, dirtied);
+            ASSERT_LE(computed, epoch);
+            ASSERT_EQ(out[0].tags[0], static_cast<TagId>(computed));
+          } else {
+            cache.Insert(MakeKey(user, epoch),
+                         MakeRanking(static_cast<TagId>(epoch), 1.0));
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const ResultCache::Stats stats = cache.GetStats();
+  EXPECT_LE(stats.entries, 24u);
+  EXPECT_EQ(stats.insertions, stats.evictions + stats.entries);
 }
 
 }  // namespace
