@@ -139,10 +139,13 @@ BENCHMARK(BM_IndexBuild)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotPublish(benchmark::State& state) {
-  // Serve-mode epoch swap: freeze the shadow master (network copy + pool
-  // pack into an immutable RrIndex replica) and publish the snapshot.
-  // Arg is the maintenance-pool size (0 = serial freeze; >=2 overlaps the
-  // network copy with a pool-parallel pack, the PitexService default).
+  // Serve-mode publish of one update batch: repair the shadow master
+  // (ApplyUpdates), freeze it into a snapshot that shares every chunk the
+  // batch left alone, and swap it in. Arg is the batch size in edges.
+  // bytes_copied is what each snapshot does not share with the one it
+  // replaces (IndexSnapshot::bytes_copied): it tracks the chunks a batch
+  // dirties, not |E|; total_bytes is the snapshot's full pool + edge-topic
+  // footprint for scale.
   static DynamicRrIndex* master = [] {
     RrIndexOptions options;
     options.theta_per_vertex = 4.0;
@@ -150,18 +153,44 @@ void BM_SnapshotPublish(benchmark::State& state) {
     m->Build();
     return m;
   }();
-  const auto pack_threads = static_cast<size_t>(state.range(0));
-  std::unique_ptr<ThreadPool> pack_pool;
-  if (pack_threads > 1) pack_pool = std::make_unique<ThreadPool>(pack_threads);
-  IndexSnapshotRegistry registry;
-  uint64_t epoch = 0;
-  for (auto _ : state) {
-    registry.Publish(
-        IndexSnapshot::FromDynamic(*master, ++epoch, pack_pool.get()));
+  static uint64_t epoch = 0;  // the master is shared across args
+  const auto batch_size = static_cast<size_t>(state.range(0));
+  const SocialNetwork& n = Network();
+  Rng rng(batch_size);
+  std::vector<std::vector<EdgeInfluenceUpdate>> batches(64);
+  for (auto& batch : batches) {
+    batch.resize(batch_size);
+    for (EdgeInfluenceUpdate& update : batch) {
+      update.edge = static_cast<EdgeId>(rng.NextBounded(n.num_edges()));
+      update.entries = {
+          {static_cast<TopicId>(rng.NextBounded(n.topics.num_topics())),
+           0.5 * rng.NextDouble()}};
+    }
   }
+  IndexSnapshotRegistry registry;
+  std::shared_ptr<const IndexSnapshot> previous =
+      IndexSnapshot::FromDynamic(*master, ++epoch);
+  master->ClearDirtyVertices();
+  size_t next = 0;
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    master->ApplyUpdates(batches[next++ % batches.size()]);
+    auto snapshot =
+        IndexSnapshot::FromDynamic(*master, ++epoch, previous.get());
+    master->ClearDirtyVertices();
+    bytes += snapshot->bytes_copied();
+    registry.Publish(snapshot);
+    previous = std::move(snapshot);
+  }
+  state.counters["bytes_copied"] = benchmark::Counter(
+      static_cast<double>(bytes), benchmark::Counter::kAvgIterations);
+  state.counters["total_bytes"] = static_cast<double>(
+      previous->rr_index()->pool().SizeBytes() +
+      previous->network().influence.SizeBytes());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SnapshotPublish)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotPublish)->Arg(1)->Arg(8)->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_WorkerRebind(benchmark::State& state) {
   // A serving worker's move to a new epoch, followed by the IndexEst+
@@ -184,7 +213,7 @@ void BM_WorkerRebind(benchmark::State& state) {
       batch[i].entries = {{static_cast<TopicId>(i % 3), 0.3}};
     }
     master.ApplyUpdates(batch);
-    pair[1] = IndexSnapshot::FromDynamic(master, 2, nullptr, pair[0].get());
+    pair[1] = IndexSnapshot::FromDynamic(master, 2, pair[0].get());
     return pair;
   }();
   const auto dirtied = [](VertexId u) {

@@ -1,5 +1,7 @@
 #include "src/graph/graph.h"
 
+#include <utility>
+
 #include "src/util/check.h"
 
 namespace pitex {
@@ -20,38 +22,48 @@ EdgeId GraphBuilder::AddEdge(VertexId u, VertexId v) {
 }
 
 Graph GraphBuilder::Build() {
-  Graph g;
+  auto storage = std::make_shared<Graph::Storage>();
+  Graph::Storage& g = *storage;
   const size_t n = num_vertices_;
   const size_t m = edges_.size();
-  g.tails_.resize(m);
-  g.heads_.resize(m);
+  g.tails.resize(m);
+  g.heads.resize(m);
 
   // Counting sort into CSR for both directions.
-  g.out_offsets_.assign(n + 1, 0);
-  g.in_offsets_.assign(n + 1, 0);
+  g.out_offsets.assign(n + 1, 0);
+  g.in_offsets.assign(n + 1, 0);
   for (const auto& [u, v] : edges_) {
-    ++g.out_offsets_[u + 1];
-    ++g.in_offsets_[v + 1];
+    ++g.out_offsets[u + 1];
+    ++g.in_offsets[v + 1];
   }
   for (size_t i = 0; i < n; ++i) {
-    g.out_offsets_[i + 1] += g.out_offsets_[i];
-    g.in_offsets_[i + 1] += g.in_offsets_[i];
+    g.out_offsets[i + 1] += g.out_offsets[i];
+    g.in_offsets[i + 1] += g.in_offsets[i];
   }
-  g.out_adj_.resize(m);
-  g.in_adj_.resize(m);
-  std::vector<uint64_t> out_pos(g.out_offsets_.begin(),
-                                g.out_offsets_.end() - 1);
-  std::vector<uint64_t> in_pos(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+  g.out_adj.resize(m);
+  g.in_adj.resize(m);
+  std::vector<uint64_t> out_pos(g.out_offsets.begin(),
+                                g.out_offsets.end() - 1);
+  std::vector<uint64_t> in_pos(g.in_offsets.begin(), g.in_offsets.end() - 1);
   for (size_t e = 0; e < m; ++e) {
     const auto [u, v] = edges_[e];
     const auto id = static_cast<EdgeId>(e);
-    g.tails_[e] = u;
-    g.heads_[e] = v;
-    g.out_adj_[out_pos[u]++] = AdjEntry{v, id};
-    g.in_adj_[in_pos[v]++] = AdjEntry{u, id};
+    g.tails[e] = u;
+    g.heads[e] = v;
+    g.out_adj[out_pos[u]++] = AdjEntry{v, id};
+    g.in_adj[in_pos[v]++] = AdjEntry{u, id};
   }
   edges_.clear();
-  return g;
+
+  Graph graph;
+  graph.out_offsets_ = g.out_offsets;
+  graph.out_adj_ = g.out_adj;
+  graph.in_offsets_ = g.in_offsets;
+  graph.in_adj_ = g.in_adj;
+  graph.tails_ = g.tails;
+  graph.heads_ = g.heads;
+  graph.storage_ = std::move(storage);
+  return graph;
 }
 
 }  // namespace pitex

@@ -5,12 +5,18 @@
 // directed edge has a stable EdgeId so that per-edge influence
 // probabilities (p(e|z), src/model/influence_graph.h) can live in parallel
 // arrays. Out- and in-adjacency reference the same EdgeIds.
+//
+// The arrays live in one refcounted immutable block and the Graph holds
+// spans into it: reads add no indirection, and copying a Graph (every
+// SocialNetwork copy -- the dynamic index's master, each published
+// snapshot) shares the topology instead of duplicating O(|E|) bytes.
 
 #ifndef PITEX_SRC_GRAPH_GRAPH_H_
 #define PITEX_SRC_GRAPH_GRAPH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -28,7 +34,7 @@ struct AdjEntry {
   EdgeId edge;
 };
 
-/// Immutable CSR digraph. Build with GraphBuilder.
+/// Immutable CSR digraph. Build with GraphBuilder. Copies share storage.
 class Graph {
  public:
   Graph() = default;
@@ -72,12 +78,23 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  std::vector<uint64_t> out_offsets_{0};
-  std::vector<AdjEntry> out_adj_;
-  std::vector<uint64_t> in_offsets_{0};
-  std::vector<AdjEntry> in_adj_;
-  std::vector<VertexId> tails_;
-  std::vector<VertexId> heads_;
+  struct Storage {
+    std::vector<uint64_t> out_offsets;
+    std::vector<AdjEntry> out_adj;
+    std::vector<uint64_t> in_offsets;
+    std::vector<AdjEntry> in_adj;
+    std::vector<VertexId> tails;
+    std::vector<VertexId> heads;
+  };
+  static constexpr uint64_t kEmptyOffsets[1] = {0};
+
+  std::shared_ptr<const Storage> storage_;
+  std::span<const uint64_t> out_offsets_{kEmptyOffsets};
+  std::span<const AdjEntry> out_adj_;
+  std::span<const uint64_t> in_offsets_{kEmptyOffsets};
+  std::span<const AdjEntry> in_adj_;
+  std::span<const VertexId> tails_;
+  std::span<const VertexId> heads_;
 };
 
 /// Accumulates edges and produces an immutable Graph. EdgeIds are assigned

@@ -55,6 +55,22 @@ void DynamicRrIndex::Build() {
   for (uint32_t id = 0; id < graphs_.size(); ++id) {
     for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
   }
+  MarkAllChunksDirty();
+}
+
+void DynamicRrIndex::MarkAllChunksDirty() {
+  sketch_chunk_dirty_.assign(RrSketchPool::SketchChunks(graphs_.size()), 1);
+  containing_chunk_dirty_.assign(
+      RrSketchPool::ContainingChunks(containing_.size()), 1);
+}
+
+RrSketchPool DynamicRrIndex::Pack() const {
+  PITEX_CHECK_MSG(built_, "call Build() first");
+  packed_ = RrSketchPool::Repack(packed_, graphs_, containing_,
+                                 sketch_chunk_dirty_, containing_chunk_dirty_);
+  std::fill(sketch_chunk_dirty_.begin(), sketch_chunk_dirty_.end(), 0);
+  std::fill(containing_chunk_dirty_.begin(), containing_chunk_dirty_.end(), 0);
+  return packed_;
 }
 
 void DynamicRrIndex::ApplyUpdates(
@@ -97,9 +113,8 @@ void DynamicRrIndex::ApplyUpdates(
     }
   }
 
-  // Fold the batch into the influence CSR once: a single exact-size
-  // splice pass (O(|E| + nnz), three allocations) instead of re-staging
-  // every edge through InfluenceGraphBuilder's per-edge vectors. Updates
+  // Fold the batch into the influence CSR once: only the chunks holding
+  // an updated edge are rebuilt, the rest are shared. Updates
   // applied sequentially, so each edge keeps its *last* entries, matching
   // the envelope transitions above: collected in reverse batch order, a
   // stable sort by edge puts each edge's last update first, which is the
@@ -183,6 +198,7 @@ void DynamicRrIndex::AdoptSketches(const RrIndex& checkpoint) {
   }
   dirty_mark_.assign(network_.num_vertices(), 0);
   envelope_ = EnvelopeTable(network_.graph, network_.influence);
+  MarkAllChunksDirty();
 }
 
 void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
@@ -253,20 +269,37 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   if (!changed) return;
   ++stats_.graphs_changed;
 
-  // Splice containment: detach old membership, re-close the sketch (keep
-  // exactly the vertices still reaching the root — an edge death can
-  // orphan a subtree; an expansion adds one) and attach the new
-  // membership. The arena rebuild reuses rr's own capacity.
-  for (const VertexId v : rr.vertices) {
-    auto& list = containing_[v];
-    list.erase(std::find(list.begin(), list.end(), id));
-  }
+  // Re-close the sketch (keep exactly the vertices still reaching the
+  // root — an edge death can orphan a subtree; an expansion adds one),
+  // then splice containment: only vertices that left or joined the
+  // sketch change their lists (both vertex arrays are sorted). The arena
+  // rebuild reuses rr's own capacity.
+  old_vertices_.assign(rr.vertices.begin(), rr.vertices.end());
   arena_.RebuildRepairedSketch(roots_[id], network_.num_vertices(), edges,
                                &rr);
   MarkDirty(rr.vertices);
-  for (const VertexId v : rr.vertices) {
+  sketch_chunk_dirty_[id / RrSketchPool::kSketchesPerChunk] = 1;
+  const auto splice = [&](VertexId v, bool joined) {
     auto& list = containing_[v];
-    list.insert(std::lower_bound(list.begin(), list.end(), id), id);
+    const auto at = std::lower_bound(list.begin(), list.end(), id);
+    if (joined) {
+      list.insert(at, id);
+    } else {
+      list.erase(at);
+    }
+    containing_chunk_dirty_[v / RrSketchPool::kVerticesPerChunk] = 1;
+  };
+  size_t i = 0, j = 0;
+  while (i < old_vertices_.size() || j < rr.vertices.size()) {
+    if (j == rr.vertices.size() ||
+        (i < old_vertices_.size() && old_vertices_[i] < rr.vertices[j])) {
+      splice(old_vertices_[i++], /*joined=*/false);
+    } else if (i == old_vertices_.size() || rr.vertices[j] < old_vertices_[i]) {
+      splice(rr.vertices[j++], /*joined=*/true);
+    } else {
+      ++i;
+      ++j;
+    }
   }
 }
 

@@ -34,9 +34,17 @@
 // quantifies repair vs. rebuild.
 //
 // Repairs consult an O(1)-updatable envelope mirror, and the owned
-// influence CSR is folded once per ApplyUpdates batch (O(|E| + nnz) per
-// batch, not per edge), so a batch costs O(|E|) plus work proportional
-// to the affected graphs only.
+// influence CSR is folded once per ApplyUpdates batch, rebuilding only
+// the edge chunks that hold an updated edge (ReplaceEdgeTopics), so a
+// batch costs work proportional to the affected graphs and touched
+// chunks, not to |E|.
+//
+// Publishing. The master keeps the pooled chunks it packed last
+// (RrSketchPool) and flags a chunk dirty when a repair rewrites one of
+// its sketches or changes one of its vertices' containing lists. Pack()
+// re-packs only the flagged chunks and shares the rest, so a freeze
+// (IndexSnapshot::FromDynamic) copies what the batches since the last
+// freeze changed, whichever snapshot it is compared with.
 
 #ifndef PITEX_SRC_INDEX_DYNAMIC_INDEX_H_
 #define PITEX_SRC_INDEX_DYNAMIC_INDEX_H_
@@ -48,6 +56,7 @@
 
 #include "src/index/rr_graph.h"
 #include "src/index/rr_index.h"
+#include "src/index/rr_sketch_pool.h"
 #include "src/index/sketch_arena.h"
 
 namespace pitex {
@@ -113,10 +122,18 @@ class DynamicRrIndex final : public InfluenceOracle {
   uint64_t theta() const { return theta_; }
   size_t num_graphs() const { return graphs_.size(); }
   const RRGraph& graph(size_t i) const { return graphs_[i]; }
-  /// All current sketches, in sample order — the snapshot hook: the serve
-  /// layer packs them into an immutable RrSketchPool (RrIndex::FromPool)
-  /// to publish a frozen, concurrently readable replica of this index.
+  /// All current sketches, in sample order.
   std::span<const RRGraph> graphs() const { return graphs_; }
+
+  /// The current sketches as an immutable pool — the snapshot hook: the
+  /// serve layer wraps it (RrIndex::FromPool) to publish a frozen,
+  /// concurrently readable replica of this index. Re-packs only the
+  /// chunks dirtied since the previous call and shares the others with
+  /// the pool that call returned; the result equals
+  /// RrSketchPool::Pack(graphs(), network().num_vertices()) chunk for
+  /// chunk. Logically const (the packed chunks are a cache); like every
+  /// member, call it from the owning thread only.
+  RrSketchPool Pack() const;
   const RrIndexOptions& options() const { return options_; }
   const std::vector<uint32_t>& Containing(VertexId u) const {
     return containing_[u];
@@ -154,6 +171,8 @@ class DynamicRrIndex final : public InfluenceOracle {
   void RepairGraph(uint32_t id, EdgeId e, double p_old, double p_new,
                    Rng* rng);
   void MarkDirty(std::span<const VertexId> vertices);
+  // Flags every chunk for the next Pack() (Build, AdoptSketches).
+  void MarkAllChunksDirty();
 
   SocialNetwork network_;
   RrIndexOptions options_;
@@ -184,6 +203,7 @@ class DynamicRrIndex final : public InfluenceOracle {
   std::vector<VertexId> repair_stack_;
   std::vector<uint32_t> present_mark_;  // expansion membership stamps
   uint32_t present_epoch_ = 0;
+  std::vector<VertexId> old_vertices_;   // a repaired sketch's old members
   // ApplyUpdates scratch, reused across batches: the affected-sketch
   // list of one update (a copy, since repairs splice containment) and
   // the batch's last-writer-wins CSR fold.
@@ -193,6 +213,11 @@ class DynamicRrIndex final : public InfluenceOracle {
   // flags plus the members in insertion order.
   std::vector<uint8_t> dirty_mark_;
   std::vector<VertexId> dirty_;
+  // The chunks Pack() returned last, and per chunk whether a repair has
+  // changed it since (one flag per sketch chunk / containing chunk).
+  mutable RrSketchPool packed_;
+  mutable std::vector<uint8_t> sketch_chunk_dirty_;
+  mutable std::vector<uint8_t> containing_chunk_dirty_;
   bool built_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "src/index/index_io.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -163,19 +164,53 @@ class IndexIo {
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
     writer.WriteU64(pool.num_sketches());
-    // v2 payload: the pooled arrays verbatim (the containing index is
-    // rebuilt on load — it is a permutation of the vertex array). Edges
-    // are written field-wise so the encoding stays layout-independent.
-    writer.WriteVector<VertexId>(pool.roots_);
-    writer.WriteVector<uint64_t>(pool.vertex_starts_);
-    writer.WriteVector<VertexId>(pool.vertices_);
-    writer.WriteVector<uint32_t>(pool.offsets_);
-    writer.WriteVector<uint64_t>(pool.edge_starts_);
-    writer.WriteU64(pool.edges_.size());
-    for (const RRLocalEdge& edge : pool.edges_) {
-      writer.WriteU32(edge.head_local);
-      writer.WriteU32(edge.edge);
-      writer.WriteF32(edge.threshold);
+    // v2 payload: the pooled arrays as one flat CSR-of-CSRs (the
+    // containing index is rebuilt on load — it is a permutation of the
+    // vertex array). The chunks are written back to back, with the
+    // per-chunk starts rebased onto global positions, so the bytes do
+    // not depend on the chunk size. Each array keeps WriteVector's
+    // encoding (u64 count, then the elements); edges are written
+    // field-wise so the encoding stays layout-independent.
+    const auto& chunks = pool.sketch_chunks_;
+    std::vector<uint64_t> starts;
+    const auto write_starts = [&](auto starts_of) {
+      writer.WriteU64(pool.num_sketches() + 1);
+      writer.WriteU64(0);
+      uint64_t base = 0;
+      for (const auto& chunk : chunks) {
+        const auto& local = starts_of(*chunk);
+        const size_t count = chunk->num_sketches;
+        starts.assign(local.begin() + 1, local.begin() + count + 1);
+        for (uint64_t& start : starts) start += base;
+        writer.WriteElements<uint64_t>(starts);
+        base += local[count];
+      }
+    };
+    writer.WriteU64(pool.num_sketches());
+    for (const auto& chunk : chunks) {
+      writer.WriteElements<VertexId>(
+          std::span(chunk->roots.data(), chunk->num_sketches));
+    }
+    write_starts([](const auto& c) -> const auto& { return c.vertex_starts; });
+    writer.WriteU64(pool.total_vertices());
+    for (const auto& chunk : chunks) {
+      writer.WriteElements<VertexId>(chunk->vertices);
+    }
+    writer.WriteU64(pool.total_vertices() + pool.num_sketches());
+    for (const auto& chunk : chunks) {
+      writer.WriteElements<uint32_t>(chunk->offsets);
+    }
+    write_starts([](const auto& c) -> const auto& { return c.edge_starts; });
+    writer.WriteU64(pool.total_edges());
+    std::vector<uint32_t> fields;
+    for (const auto& chunk : chunks) {
+      fields.clear();
+      for (const RRLocalEdge& edge : chunk->edges) {
+        fields.push_back(edge.head_local);
+        fields.push_back(edge.edge);
+        fields.push_back(std::bit_cast<uint32_t>(edge.threshold));
+      }
+      writer.WriteElements<uint32_t>(fields);
     }
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
@@ -260,18 +295,18 @@ class IndexIo {
   // consistency, sorted vertex arrays, in-range edge ids).
   static bool ReadRrPoolV2(BinaryReader* reader, uint64_t num_sketches,
                            uint64_t max_vertices, uint64_t max_edges,
-                           RrSketchPool* pool, IndexIoError* error) {
+                           RrSketchPool::Flat* flat, IndexIoError* error) {
     const uint64_t max_total_vertices =
         SaturatingMul(num_sketches, max_vertices);
-    if (!reader->ReadVector(&pool->roots_, num_sketches) ||
-        pool->roots_.size() != num_sketches ||
-        !reader->ReadVector(&pool->vertex_starts_, num_sketches + 1) ||
-        pool->vertex_starts_.size() != num_sketches + 1 ||
-        !reader->ReadVector(&pool->vertices_, max_total_vertices) ||
-        !reader->ReadVector(&pool->offsets_,
+    if (!reader->ReadVector(&flat->roots, num_sketches) ||
+        flat->roots.size() != num_sketches ||
+        !reader->ReadVector(&flat->vertex_starts, num_sketches + 1) ||
+        flat->vertex_starts.size() != num_sketches + 1 ||
+        !reader->ReadVector(&flat->vertices, max_total_vertices) ||
+        !reader->ReadVector(&flat->offsets,
                             SaturatingMul(num_sketches, max_vertices + 1)) ||
-        !reader->ReadVector(&pool->edge_starts_, num_sketches + 1) ||
-        pool->edge_starts_.size() != num_sketches + 1) {
+        !reader->ReadVector(&flat->edge_starts, num_sketches + 1) ||
+        flat->edge_starts.size() != num_sketches + 1) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
       return false;
     }
@@ -285,7 +320,7 @@ class IndexIo {
     // UINT64_MAX), so never allocate it up front: append edges as they
     // parse and let a truncated or fabricated stream fail on its first
     // missing field.
-    pool->edges_.clear();
+    flat->edges.clear();
     for (uint64_t j = 0; j < num_edges; ++j) {
       RRLocalEdge edge;
       if (!reader->ReadU32(&edge.head_local) || !reader->ReadU32(&edge.edge) ||
@@ -293,25 +328,25 @@ class IndexIo {
         SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
         return false;
       }
-      pool->edges_.push_back(edge);
+      flat->edges.push_back(edge);
     }
 
     // Structural validation of the CSR-of-CSRs.
-    if (pool->vertex_starts_.front() != 0 ||
-        pool->vertex_starts_.back() != pool->vertices_.size() ||
-        pool->edge_starts_.front() != 0 ||
-        pool->edge_starts_.back() != pool->edges_.size() ||
-        pool->offsets_.size() != pool->vertices_.size() + num_sketches) {
+    if (flat->vertex_starts.front() != 0 ||
+        flat->vertex_starts.back() != flat->vertices.size() ||
+        flat->edge_starts.front() != 0 ||
+        flat->edge_starts.back() != flat->edges.size() ||
+        flat->offsets.size() != flat->vertices.size() + num_sketches) {
       SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch layout");
       return false;
     }
     for (uint64_t i = 0; i < num_sketches; ++i) {
-      const uint64_t vb = pool->vertex_starts_[i];
-      const uint64_t ve = pool->vertex_starts_[i + 1];
-      const uint64_t eb = pool->edge_starts_[i];
-      const uint64_t ee = pool->edge_starts_[i + 1];
-      if (ve < vb || ve > pool->vertices_.size() || ee < eb ||
-          ee > pool->edges_.size()) {
+      const uint64_t vb = flat->vertex_starts[i];
+      const uint64_t ve = flat->vertex_starts[i + 1];
+      const uint64_t eb = flat->edge_starts[i];
+      const uint64_t ee = flat->edge_starts[i + 1];
+      if (ve < vb || ve > flat->vertices.size() || ee < eb ||
+          ee > flat->edges.size()) {
         SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch bounds");
         return false;
       }
@@ -324,33 +359,33 @@ class IndexIo {
       // Vertices sorted strictly ascending and in range (LocalIndex
       // binary-searches them); root must be a member.
       for (uint64_t j = vb; j < ve; ++j) {
-        if (pool->vertices_[j] >= max_vertices ||
-            (j > vb && pool->vertices_[j] <= pool->vertices_[j - 1])) {
+        if (flat->vertices[j] >= max_vertices ||
+            (j > vb && flat->vertices[j] <= flat->vertices[j - 1])) {
           SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex array");
           return false;
         }
       }
-      if (!std::binary_search(pool->vertices_.begin() + vb,
-                              pool->vertices_.begin() + ve,
-                              pool->roots_[i])) {
+      if (!std::binary_search(flat->vertices.begin() + vb,
+                              flat->vertices.begin() + ve,
+                              flat->roots[i])) {
         SetError(error, IndexIoCode::kCorruptPayload, "sketch root not a sketch member");
         return false;
       }
       // Local CSR: starts at 0, non-decreasing, ends at the edge count;
       // edge heads stay inside the sketch.
       const uint64_t ob = vb + i;
-      if (pool->offsets_[ob] != 0 || pool->offsets_[ob + n] != m) {
+      if (flat->offsets[ob] != 0 || flat->offsets[ob + n] != m) {
         SetError(error, IndexIoCode::kCorruptPayload, "inconsistent sketch CSR offsets");
         return false;
       }
       for (uint64_t j = 0; j < n; ++j) {
-        if (pool->offsets_[ob + j] > pool->offsets_[ob + j + 1]) {
+        if (flat->offsets[ob + j] > flat->offsets[ob + j + 1]) {
           SetError(error, IndexIoCode::kCorruptPayload, "non-monotone sketch CSR offsets");
           return false;
         }
       }
       for (uint64_t j = eb; j < ee; ++j) {
-        if (pool->edges_[j].head_local >= n) {
+        if (flat->edges[j].head_local >= n) {
           SetError(error, IndexIoCode::kCorruptPayload, "sketch edge head out of range");
           return false;
         }
@@ -412,6 +447,7 @@ class IndexIo {
     const uint64_t max_edges = network.num_edges();
 
     std::vector<RRGraph> staging;  // v1 only
+    RrSketchPool::Flat flat;       // v2 only
     if (version == kVersionV1) {
       if (!ReadRrGraphsV1(&reader, num_graphs, max_vertices, max_edges,
                           &staging, error)) {
@@ -419,7 +455,7 @@ class IndexIo {
       }
     } else {
       if (!ReadRrPoolV2(&reader, num_graphs, max_vertices, max_edges,
-                        &index->pool_, error)) {
+                        &flat, error)) {
         return nullptr;
       }
     }
@@ -438,7 +474,7 @@ class IndexIo {
     } else {
       // The containing index is a permutation of the vertex array:
       // cheaper to recompute than to store.
-      index->pool_.BuildContaining(network.num_vertices());
+      index->pool_ = RrSketchPool::FromFlat(flat, network.num_vertices());
     }
     index->built_ = true;
     return index;

@@ -1,33 +1,40 @@
-// Pooled storage for the offline RR-Graph index (Sec. 6.1): all theta
-// sketches flattened into one contiguous vertex array, one edge array and
-// one offsets array (a CSR of per-sketch CSRs), plus a CSR-flattened
-// inverted "containing" index.
+// Pooled storage for the offline RR-Graph index (Sec. 6.1): the theta
+// sketches flattened into contiguous vertex, edge and offsets arrays (a
+// CSR of per-sketch CSRs), plus a CSR-flattened inverted "containing"
+// index.
 //
 // The IndexEst estimate path walks theta(u) tiny sketches per query; with
 // one heap object per sketch (three vectors each) those walks chase
 // pointers all over the heap and the allocator dominates build time. The
 // pool keeps every sketch's data adjacent, hands out non-owning RRViews,
-// and answers Containing(u) from one flat array — no per-sketch or
-// per-vertex heap objects at all, and SizeBytes() is O(1).
+// and answers Containing(u) from one flat array per chunk — no
+// per-sketch or per-vertex heap objects at all.
 //
-// Layout for sketch i (n_i vertices, m_i edges):
-//   roots_[i]                                     root vertex
-//   vertices_[vertex_starts_[i] .. vertex_starts_[i+1])   sorted vertex ids
-//   offsets_[vertex_starts_[i] + i ..  + n_i + 1)  local CSR (starts at 0)
-//   edges_[edge_starts_[i] .. edge_starts_[i+1])   local out-edges
-// The offsets position is derived: sketch i's offsets block starts at
-// vertex_starts_[i] + i because every earlier sketch contributed n_j + 1
-// entries.
-//
-// The pool is immutable after Pack(): DynamicRrIndex, which repairs
-// individual sketches in place, deliberately keeps per-sketch owning
-// RRGraphs instead (mutating a pooled sketch would force a full repack).
+// The pool is a table of refcounted immutable chunks:
+//   * a SketchChunk holds kSketchesPerChunk consecutive sketch ids as a
+//     CSR of per-sketch CSRs. For local sketch j (n_j vertices, m_j
+//     edges) of a chunk:
+//       roots[j]                                        root vertex
+//       vertices[vertex_starts[j] .. vertex_starts[j+1]) sorted vertex ids
+//       offsets[vertex_starts[j] + j .. + n_j + 1)       local CSR from 0
+//       edges[edge_starts[j] .. edge_starts[j+1])        local out-edges
+//     The offsets position is derived: sketch j's block starts at
+//     vertex_starts[j] + j because every earlier sketch of the chunk
+//     contributed n + 1 entries.
+//   * a ContainingChunk holds the containing lists of kVerticesPerChunk
+//     consecutive vertices.
+// A chunk is never mutated once built, so pools share chunks freely:
+// DynamicRrIndex keeps the chunks it packed last and re-packs only the
+// ones a repair dirtied (Repack), so a publish copies the chunks its
+// batch changed and shares the rest with the previous snapshot.
 
 #ifndef PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
 #define PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,91 +46,162 @@ namespace pitex {
 
 class RrSketchPool {
  public:
+  /// Consecutive sketch ids per sketch chunk.
+  static constexpr size_t kSketchesPerChunk = 256;
+  /// Consecutive vertices per containing chunk.
+  static constexpr size_t kVerticesPerChunk = 64;
+
   RrSketchPool() = default;
 
   /// Flattens per-sketch owning graphs into one pool and builds the
   /// inverted containing index with a counting pass (exact-size
   /// allocation, no push_back growth). `num_vertices` is the global
-  /// vertex universe; every graph vertex must lie inside it. When `pool`
-  /// is non-null the sketch copy and the containing fill run across its
-  /// workers (the serve-layer publish path packs a repaired master this
-  /// way); the result is identical for any pool size.
+  /// vertex universe; every graph vertex must lie inside it.
   static RrSketchPool Pack(std::span<const RRGraph> graphs,
-                           size_t num_vertices,
-                           ThreadPool* pool = nullptr);
+                           size_t num_vertices);
 
   /// Two-pass pack straight from build arenas, replacing the old
   /// copy-of-a-copy (owning staging RRGraphs, then Pack): pass one sizes
-  /// every pooled array exactly from per-arena counters; pass two copies
-  /// each sketch's segments once — in parallel when `pool` is non-null.
-  /// The arenas' recorded sample indices must cover [0, num_sketches)
-  /// exactly once; sketch i of the pool is the arena sketch with sample
-  /// index i, so the result is bit-identical for any arena count /
-  /// claim interleaving.
+  /// every chunk exactly from per-arena counters; pass two copies each
+  /// sketch's segments once — chunks in parallel when `pool` is
+  /// non-null. The arenas' recorded sample indices must cover
+  /// [0, num_sketches) exactly once; sketch i of the pool is the arena
+  /// sketch with sample index i, so the result is bit-identical for any
+  /// arena count / claim interleaving.
   static RrSketchPool PackFrom(std::span<const SketchArena> arenas,
                                uint64_t num_sketches, size_t num_vertices,
                                ThreadPool* pool = nullptr);
 
-  size_t num_sketches() const { return roots_.size(); }
-  bool empty() const { return roots_.empty(); }
+  /// Copy of `base` in which the sketch chunks flagged in `sketch_dirty`
+  /// are re-packed from `graphs` and the containing chunks flagged in
+  /// `containing_dirty` from `containing` (vertex u's ascending sketch
+  /// ids); every other chunk is shared with `base`. The flag spans have
+  /// one entry per chunk of the result; a chunk `base` lacks must be
+  /// flagged. When the flags cover every chunk that changed since
+  /// `base` was packed, the result equals Pack(graphs, containing.size())
+  /// chunk for chunk.
+  static RrSketchPool Repack(const RrSketchPool& base,
+                             std::span<const RRGraph> graphs,
+                             std::span<const std::vector<uint32_t>> containing,
+                             std::span<const uint8_t> sketch_dirty,
+                             std::span<const uint8_t> containing_dirty);
+
+  /// Chunk counts for `num_sketches` sketches / `num_vertices` vertices.
+  static size_t SketchChunks(size_t num_sketches) {
+    return (num_sketches + kSketchesPerChunk - 1) / kSketchesPerChunk;
+  }
+  static size_t ContainingChunks(size_t num_vertices) {
+    return (num_vertices + kVerticesPerChunk - 1) / kVerticesPerChunk;
+  }
+
+  size_t num_sketches() const { return num_sketches_; }
+  bool empty() const { return num_sketches_ == 0; }
 
   /// Non-owning view of sketch i (valid while the pool is alive).
   RRView View(size_t i) const {
-    const uint64_t vb = vertex_starts_[i];
-    const uint64_t n = vertex_starts_[i + 1] - vb;
-    const uint64_t eb = edge_starts_[i];
-    return RRView{
-        roots_[i],
-        {vertices_.data() + vb, n},
-        {offsets_.data() + vb + i, n + 1},
-        {edges_.data() + eb, edge_starts_[i + 1] - eb}};
+    const SketchChunk& c = *sketch_chunks_[i / kSketchesPerChunk];
+    const size_t j = i % kSketchesPerChunk;
+    const uint64_t vb = c.vertex_starts[j];
+    const uint64_t n = c.vertex_starts[j + 1] - vb;
+    const uint64_t eb = c.edge_starts[j];
+    return RRView{c.roots[j],
+                  {c.vertices.data() + vb, n},
+                  {c.offsets.data() + vb + j, n + 1},
+                  {c.edges.data() + eb, c.edge_starts[j + 1] - eb}};
   }
 
-  VertexId root(size_t i) const { return roots_[i]; }
+  VertexId root(size_t i) const {
+    return sketch_chunks_[i / kSketchesPerChunk]
+        ->roots[i % kSketchesPerChunk];
+  }
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
   std::span<const uint32_t> Containing(VertexId u) const {
-    return {containing_.data() + containing_starts_[u],
-            containing_.data() + containing_starts_[u + 1]};
+    const ContainingChunk& c = *containing_chunks_[u / kVerticesPerChunk];
+    const size_t j = u % kVerticesPerChunk;
+    return {c.ids.data() + c.starts[j], c.ids.data() + c.starts[j + 1]};
   }
   /// theta(u): how many sketches contain u (Sec. 6.3 notation).
   size_t CountContaining(VertexId u) const {
-    return containing_starts_[u + 1] - containing_starts_[u];
+    const ContainingChunk& c = *containing_chunks_[u / kVerticesPerChunk];
+    const size_t j = u % kVerticesPerChunk;
+    return c.starts[j + 1] - c.starts[j];
   }
   /// Number of vertices the containing index covers.
-  size_t num_universe_vertices() const {
-    return containing_starts_.empty() ? 0 : containing_starts_.size() - 1;
-  }
+  size_t num_universe_vertices() const { return num_vertices_; }
 
   /// Totals across all sketches.
-  uint64_t total_vertices() const { return vertices_.size(); }
-  uint64_t total_edges() const { return edges_.size(); }
+  uint64_t total_vertices() const { return total_vertices_; }
+  uint64_t total_edges() const { return total_edges_; }
   /// Largest per-sketch vertex count (scratch pre-sizing).
   size_t max_sketch_vertices() const { return max_sketch_vertices_; }
 
-  /// Exact footprint of the pooled arrays, computed in O(1).
-  size_t SizeBytes() const;
+  /// Footprint of every chunk (shared or not) and the chunk tables,
+  /// computed in O(1).
+  size_t SizeBytes() const { return size_bytes_; }
+  /// Bytes of the chunks `other` does not share with this pool.
+  size_t BytesNotSharedWith(const RrSketchPool& other) const;
 
  private:
-  friend class IndexIo;  // persistence reads/writes the raw arrays
+  friend class IndexIo;  // persistence reads/writes the chunk arrays
 
-  /// Rebuilds containing_starts_/containing_ from the packed vertex
-  /// arrays (counting pass + prefix sum + fill in ascending sketch-id
-  /// order). Also recomputes max_sketch_vertices_. With a pool, count
-  /// and fill run over sketch ranges balanced by vertex volume, with
-  /// per-range histograms turned into deterministic per-range cursors —
-  /// the fill order per vertex is still ascending sketch id.
-  void BuildContaining(size_t num_vertices, ThreadPool* pool = nullptr);
+  // The fixed-size per-sketch and per-vertex arrays are inline, so a
+  // lookup reads them straight after the chunk pointer.
+  struct SketchChunk {
+    size_t num_sketches = 0;
+    size_t max_vertices = 0;
+    std::vector<VertexId> vertices;
+    std::vector<uint32_t> offsets;  // n + 1 per sketch
+    std::vector<RRLocalEdge> edges;
+    std::array<VertexId, kSketchesPerChunk> roots{};
+    std::array<uint64_t, kSketchesPerChunk + 1> vertex_starts{};  // from 0
+    std::array<uint64_t, kSketchesPerChunk + 1> edge_starts{};    // from 0
+    size_t SizeBytes() const;
+  };
+  struct ContainingChunk {
+    std::vector<uint32_t> ids;  // sketch ids, CSR by vertex
+    std::array<uint64_t, kVerticesPerChunk + 1> starts{};  // from 0
+    size_t SizeBytes() const;
+  };
 
-  std::vector<VertexId> roots_;          // one per sketch
-  std::vector<uint64_t> vertex_starts_;  // num_sketches + 1
-  std::vector<VertexId> vertices_;       // all sketch vertex arrays
-  std::vector<uint32_t> offsets_;        // all local CSRs; n_i + 1 each
-  std::vector<uint64_t> edge_starts_;    // num_sketches + 1
-  std::vector<RRLocalEdge> edges_;       // all sketch edge arrays
-  std::vector<uint64_t> containing_starts_;  // num_vertices + 1
-  std::vector<uint32_t> containing_;         // sketch ids, CSR by vertex
+  /// The persisted (v2) layout: one flat CSR-of-CSRs over all sketches.
+  struct Flat {
+    std::vector<VertexId> roots;
+    std::vector<uint64_t> vertex_starts;
+    std::vector<VertexId> vertices;
+    std::vector<uint32_t> offsets;
+    std::vector<uint64_t> edge_starts;
+    std::vector<RRLocalEdge> edges;
+  };
+  /// Chunks a validated flat layout (the loader's path).
+  static RrSketchPool FromFlat(const Flat& flat, size_t num_vertices);
+
+  /// Packs sketches [first, last), sketch i read through view_of(i).
+  template <typename ViewOf>
+  static std::shared_ptr<const SketchChunk> PackSketchChunk(size_t first,
+                                                            size_t last,
+                                                            ViewOf view_of);
+  /// Sketch chunks for `num_sketches` sketches read through view_of.
+  template <typename ViewOf>
+  static RrSketchPool PackAll(size_t num_sketches, size_t num_vertices,
+                              ViewOf view_of, ThreadPool* pool = nullptr);
+
+  /// Builds every containing chunk from the sketch chunks (counting
+  /// pass + per-chunk sizing + one fill in ascending sketch-id order, so
+  /// each per-vertex list is sorted).
+  void BuildContaining();
+  /// Recomputes the totals, max_sketch_vertices_ and size_bytes_ from
+  /// the chunks (O(chunks)).
+  void Summarize();
+
+  std::vector<std::shared_ptr<const SketchChunk>> sketch_chunks_;
+  std::vector<std::shared_ptr<const ContainingChunk>> containing_chunks_;
+  size_t num_sketches_ = 0;
+  size_t num_vertices_ = 0;
+  uint64_t total_vertices_ = 0;
+  uint64_t total_edges_ = 0;
   size_t max_sketch_vertices_ = 0;
+  size_t size_bytes_ = sizeof(RrSketchPool);
 };
 
 }  // namespace pitex

@@ -97,13 +97,6 @@ class SketchArena {
   /// Build-order sample index recorded at Generate time (PackFrom places
   /// the sketch at this position in the pool).
   uint64_t sample_index(size_t slot) const { return meta_[slot].sample; }
-  VertexId root(size_t slot) const { return meta_[slot].root; }
-  size_t sketch_vertices(size_t slot) const {
-    return VertexEnd(slot) - meta_[slot].vertex_start;
-  }
-  size_t sketch_edges(size_t slot) const {
-    return EdgeEnd(slot) - meta_[slot].edge_start;
-  }
   /// Non-owning view of sketch `slot` (valid until the next Generate /
   /// Clear on this arena).
   RRView View(size_t slot) const;

@@ -62,22 +62,50 @@ double InfluenceGraph::EdgeProb(EdgeId e, const TopicPosterior& posterior) const
   return p;
 }
 
+size_t InfluenceGraph::Chunk::SizeBytes() const {
+  return sizeof(Chunk) + entries.size() * sizeof(EdgeTopicEntry);
+}
+
+void InfluenceGraph::AppendEdge(std::span<const EdgeTopicEntry> entries,
+                                Chunk* chunk) {
+  double max_p = 0.0;
+  for (const EdgeTopicEntry& entry : entries) {
+    max_p = std::max(max_p, entry.prob);
+  }
+  chunk->entries.insert(chunk->entries.end(), entries.begin(), entries.end());
+  const size_t j = chunk->num_edges++;
+  chunk->offsets[j + 1] = static_cast<uint32_t>(chunk->entries.size());
+  chunk->max_prob[j] = max_p;
+}
+
+size_t InfluenceGraph::SizeBytes() const {
+  size_t bytes = chunks_.capacity() * sizeof(chunks_[0]);
+  for (const auto& chunk : chunks_) bytes += chunk->SizeBytes();
+  return bytes;
+}
+
+size_t InfluenceGraph::BytesNotSharedWith(const InfluenceGraph& other) const {
+  size_t bytes = 0;
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    if (c >= other.chunks_.size() || chunks_[c] != other.chunks_[c]) {
+      bytes += chunks_[c]->SizeBytes();
+    }
+  }
+  return bytes;
+}
+
 InfluenceGraph ReplaceEdgeTopics(
     const InfluenceGraph& influence,
     std::span<const EdgeTopicsReplacement> replacements) {
-  const size_t num_edges = influence.num_edges();
+  using Chunk = InfluenceGraph::Chunk;
+  constexpr size_t kChunkEdges = InfluenceGraph::kChunkEdges;
   // Validate each replacement into a shared scratch (kept entries are
-  // sorted by topic with zeros dropped, like InfluenceGraphBuilder) and
-  // index them by edge.
-  std::vector<uint32_t> replacement_of(num_edges, UINT32_MAX);
+  // sorted by topic with zeros dropped, like InfluenceGraphBuilder).
   std::vector<std::pair<uint32_t, uint32_t>> kept_range(replacements.size());
   std::vector<EdgeTopicEntry> kept;
   for (uint32_t r = 0; r < replacements.size(); ++r) {
     const auto& [e, entries] = replacements[r];
-    PITEX_CHECK(e < num_edges);
-    PITEX_CHECK_MSG(replacement_of[e] == UINT32_MAX,
-                    "edge replaced twice in one batch");
-    replacement_of[e] = r;
+    PITEX_CHECK(e < influence.num_edges());
     const auto begin = static_cast<uint32_t>(kept.size());
     for (const EdgeTopicEntry& entry : entries) {
       PITEX_CHECK(entry.prob >= 0.0 && entry.prob <= 1.0);
@@ -92,37 +120,40 @@ InfluenceGraph ReplaceEdgeTopics(
     }
     kept_range[r] = {begin, static_cast<uint32_t>(kept.size())};
   }
-
-  // Exact-size single pass: unchanged edges block-copy their CSR slice.
-  InfluenceGraph out;
-  int64_t nnz_delta = 0;
-  for (uint32_t r = 0; r < replacements.size(); ++r) {
-    nnz_delta +=
-        static_cast<int64_t>(kept_range[r].second) -
-        static_cast<int64_t>(kept_range[r].first) -
-        static_cast<int64_t>(influence.EdgeTopics(replacements[r].edge).size());
+  // Replacements in edge order, so each touched chunk is one run.
+  std::vector<uint32_t> order(replacements.size());
+  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return replacements[a].edge < replacements[b].edge;
+  });
+  for (size_t i = 1; i < order.size(); ++i) {
+    PITEX_CHECK_MSG(
+        replacements[order[i]].edge != replacements[order[i - 1]].edge,
+        "edge replaced twice in one batch");
   }
-  out.offsets_.clear();
-  out.offsets_.reserve(num_edges + 1);
-  out.offsets_.push_back(0);
-  out.entries_.reserve(influence.entries_.size() +
-                       static_cast<size_t>(std::max<int64_t>(0, nnz_delta)));
-  out.max_prob_.reserve(num_edges);
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    std::span<const EdgeTopicEntry> entries;
-    if (replacement_of[e] != UINT32_MAX) {
-      const auto [begin, end] = kept_range[replacement_of[e]];
-      entries = {kept.data() + begin, kept.data() + end};
-    } else {
-      entries = influence.EdgeTopics(e);
+
+  // Share every chunk, then rebuild the touched ones: unchanged edges
+  // of a touched chunk copy their slice of the old chunk.
+  InfluenceGraph out = influence;
+  for (size_t i = 0; i < order.size();) {
+    const size_t c = replacements[order[i]].edge / kChunkEdges;
+    const Chunk& old = *influence.chunks_[c];
+    auto chunk = std::make_shared<Chunk>();
+    chunk->entries.reserve(old.entries.size() + kept.size());
+    for (size_t j = 0; j < old.num_edges; ++j) {
+      const auto e = static_cast<EdgeId>(c * kChunkEdges + j);
+      std::span<const EdgeTopicEntry> entries;
+      if (i < order.size() && replacements[order[i]].edge == e) {
+        const auto [begin, end] = kept_range[order[i]];
+        entries = {kept.data() + begin, kept.data() + end};
+        ++i;
+      } else {
+        entries = {old.entries.data() + old.offsets[j],
+                   old.entries.data() + old.offsets[j + 1]};
+      }
+      InfluenceGraph::AppendEdge(entries, chunk.get());
     }
-    double max_p = 0.0;
-    for (const EdgeTopicEntry& entry : entries) {
-      max_p = std::max(max_p, entry.prob);
-    }
-    out.entries_.insert(out.entries_.end(), entries.begin(), entries.end());
-    out.offsets_.push_back(out.entries_.size());
-    out.max_prob_.push_back(max_p);
+    out.chunks_[c] = std::move(chunk);
   }
   return out;
 }
@@ -150,19 +181,21 @@ void InfluenceGraphBuilder::SetEdgeTopics(
 }
 
 InfluenceGraph InfluenceGraphBuilder::Build() {
+  using Chunk = InfluenceGraph::Chunk;
+  constexpr size_t kChunkEdges = InfluenceGraph::kChunkEdges;
   InfluenceGraph g;
-  g.offsets_.reserve(num_edges_ + 1);
-  g.max_prob_.reserve(num_edges_);
-  size_t total = 0;
-  for (const auto& v : staged_) total += v.size();
-  g.entries_.reserve(total);
-  for (auto& v : staged_) {
-    double max_p = 0.0;
-    for (const auto& entry : v) max_p = std::max(max_p, entry.prob);
-    g.entries_.insert(g.entries_.end(), v.begin(), v.end());
-    g.offsets_.push_back(g.entries_.size());
-    g.max_prob_.push_back(max_p);
-    v.clear();
+  g.num_edges_ = num_edges_;
+  g.chunks_.reserve((num_edges_ + kChunkEdges - 1) / kChunkEdges);
+  for (size_t first = 0; first < num_edges_; first += kChunkEdges) {
+    const size_t last = std::min(num_edges_, first + kChunkEdges);
+    auto chunk = std::make_shared<Chunk>();
+    size_t total = 0;
+    for (size_t e = first; e < last; ++e) total += staged_[e].size();
+    chunk->entries.reserve(total);
+    for (size_t e = first; e < last; ++e) {
+      InfluenceGraph::AppendEdge(staged_[e], chunk.get());
+    }
+    g.chunks_.push_back(std::move(chunk));
   }
   staged_.clear();
   return g;

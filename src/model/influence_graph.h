@@ -6,6 +6,12 @@
 // topic vector in CSR form over (topic, probability) pairs. Computing
 // p(e|W) is then a sparse dot product with the topic posterior p(z|W).
 //
+// The CSR is split into refcounted immutable chunks of kChunkEdges
+// consecutive EdgeIds. A batch fold (ReplaceEdgeTopics) rebuilds only
+// the chunks holding a replaced edge and shares every other chunk with
+// its input, so the dynamic index's master and each published snapshot
+// hold one copy of the unchanged edges between them.
+//
 // The SocialNetwork aggregate bundles the graph topology, the topic model
 // and the influence probabilities — the triple every PITEX algorithm
 // consumes.
@@ -13,8 +19,10 @@
 #ifndef PITEX_SRC_MODEL_INFLUENCE_GRAPH_H_
 #define PITEX_SRC_MODEL_INFLUENCE_GRAPH_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,15 +46,22 @@ struct EdgeTopicsReplacement {
 };
 
 /// Immutable per-edge p(e|z) table. Build with InfluenceGraphBuilder.
+/// Copies share chunks.
 class InfluenceGraph {
  public:
+  /// Consecutive EdgeIds per chunk (a power of two).
+  static constexpr size_t kChunkEdges = 1024;
+
   InfluenceGraph() = default;
 
-  size_t num_edges() const { return offsets_.size() - 1; }
+  size_t num_edges() const { return num_edges_; }
 
   /// Sparse topic vector of edge e.
   std::span<const EdgeTopicEntry> EdgeTopics(EdgeId e) const {
-    return {entries_.data() + offsets_[e], entries_.data() + offsets_[e + 1]};
+    const Chunk& chunk = *chunks_[e / kChunkEdges];
+    const size_t i = e % kChunkEdges;
+    return {chunk.entries.data() + chunk.offsets[i],
+            chunk.entries.data() + chunk.offsets[i + 1]};
   }
 
   /// p(e|z); 0 when the edge carries no mass on z.
@@ -57,7 +72,14 @@ class InfluenceGraph {
 
   /// p(e) = max_z p(e|z) — the "any topic" envelope used by the RR-Graph
   /// index (Def. 2): p(e) >= p(e|W) for every W.
-  double MaxProb(EdgeId e) const { return max_prob_[e]; }
+  double MaxProb(EdgeId e) const {
+    return chunks_[e / kChunkEdges]->max_prob[e % kChunkEdges];
+  }
+
+  /// Bytes of every chunk (shared or not).
+  size_t SizeBytes() const;
+  /// Bytes of the chunks `other` does not share with this table.
+  size_t BytesNotSharedWith(const InfluenceGraph& other) const;
 
  private:
   friend class InfluenceGraphBuilder;
@@ -65,9 +87,22 @@ class InfluenceGraph {
       const InfluenceGraph& influence,
       std::span<const EdgeTopicsReplacement> replacements);
 
-  std::vector<uint64_t> offsets_{0};
-  std::vector<EdgeTopicEntry> entries_;
-  std::vector<double> max_prob_;
+  // The per-edge arrays are inline so a lookup reads them straight
+  // after the chunk pointer, with no array pointer in between.
+  struct Chunk {
+    size_t num_edges = 0;
+    std::array<uint32_t, kChunkEdges + 1> offsets{};  // local CSR
+    std::array<double, kChunkEdges> max_prob{};
+    std::vector<EdgeTopicEntry> entries;
+    size_t SizeBytes() const;
+  };
+
+  /// Appends one edge's (validated) entries to `chunk`.
+  static void AppendEdge(std::span<const EdgeTopicEntry> entries,
+                         Chunk* chunk);
+
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  size_t num_edges_ = 0;
 };
 
 /// Accumulates edge topic vectors in EdgeId order.
@@ -90,11 +125,11 @@ class InfluenceGraphBuilder {
 /// Copy of `influence` with the listed edges' topic vectors replaced —
 /// the batch-fold primitive of DynamicRrIndex::ApplyUpdates. Entry
 /// validation matches InfluenceGraphBuilder (probabilities in [0, 1],
-/// zero entries dropped, sorted by topic, duplicate topics rejected),
-/// but the copy is one exact-size pass over the CSR: unchanged edges
-/// are block-copied, so a batch costs O(|E| + nnz) with three array
-/// allocations instead of one staging vector per edge. Each edge may
-/// appear at most once in `replacements`.
+/// zero entries dropped, sorted by topic, duplicate topics rejected).
+/// Only the chunks holding a replaced edge are rebuilt; the result
+/// shares every other chunk with `influence`, so a batch costs
+/// O(|E| / kChunkEdges + touched chunks * kChunkEdges + nnz). Each edge
+/// may appear at most once in `replacements`.
 InfluenceGraph ReplaceEdgeTopics(
     const InfluenceGraph& influence,
     std::span<const EdgeTopicsReplacement> replacements);

@@ -67,7 +67,8 @@ enum class SpanKind : uint8_t {
   kWalAppend,  // WriteAheadLog::Append
   kWalFsync,   // WriteAheadLog::Sync (the commit point)
   kFreeze,     // FreezeSnapshotLocked (retry loop included)
-  kPack,       // IndexSnapshot::FromDynamic (network copy + sketch pack)
+  kPack,       // IndexSnapshot::FromDynamic (re-pack of the dirty chunks;
+               // the network copy shares every chunk)
   kSwap,       // IndexSnapshotRegistry::Publish (the epoch swap)
   kCheckpoint, // checkpoint write + WAL truncation
   kSpanKindCount,

@@ -112,6 +112,12 @@ void PitexService::RegisterMetrics() {
       "pitex_publish_dirty_users",
       "Users whose answers a published batch may have changed",
       {1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576});
+  m_.publish_bytes_copied = metrics_.RegisterHistogram(
+      "pitex_publish_bytes_copied",
+      "Bytes of sketch, containing, edge-topic and dirty-map chunks a "
+      "published snapshot does not share with the one it replaced",
+      {4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864,
+       268435456});
   m_.cache_entries = metrics_.RegisterGauge(
       "pitex_cache_entries", "Result-cache entries currently resident");
   m_.cache_insertions = metrics_.RegisterGauge(
@@ -262,9 +268,6 @@ void PitexService::Start() {
       } else {
         master_ = std::make_unique<DynamicRrIndex>(*network_, index_options);
         master_->Build();
-      }
-      if (options_.publish_threads > 1) {
-        publish_pool_ = std::make_unique<ThreadPool>(options_.publish_threads);
       }
       // Same retry policy as ApplyUpdates, but there is no previous
       // epoch to fall back to: if the freeze cannot succeed within the
@@ -772,8 +775,7 @@ std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
   // replaced (none at Start: every user is then dirtied at `epoch`).
   const std::shared_ptr<const IndexSnapshot> previous = registry_.Current();
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    snapshot = IndexSnapshot::FromDynamic(*master_, epoch,
-                                          publish_pool_.get(), previous.get());
+    snapshot = IndexSnapshot::FromDynamic(*master_, epoch, previous.get());
     if (snapshot != nullptr) break;
     m_.publish_retries->Inc();
     journal_.Record(obs::EventKind::kPublishRetry, epoch, attempt + 1);
@@ -909,6 +911,8 @@ uint64_t PitexService::ApplyUpdates(
   }
   m_.publish_dirty_users->Observe(
       static_cast<double>(master_->dirty_vertices().size()));
+  m_.publish_bytes_copied->Observe(
+      static_cast<double>(snapshot->bytes_copied()));
   master_->ClearDirtyVertices();
   published_batches_.store(applied_batches_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);

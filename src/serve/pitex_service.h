@@ -93,13 +93,6 @@ struct ServeOptions {
   /// Keep a DynamicRrIndex master so ApplyUpdates can publish repaired
   /// snapshots. Requires an RR-Graph method (kIndexEst / kIndexEstPlus).
   bool enable_updates = false;
-  /// Workers for the publish-side freeze (IndexSnapshot::FromDynamic):
-  /// the network copy overlaps a pool-parallel pack. The serving pool is
-  /// permanently parked under the pumps, so publishes get their own
-  /// small maintenance pool; it sits idle between epochs. 0 or 1 (the
-  /// default) freezes serially — only worth enabling when cores are
-  /// genuinely free beyond the serving pumps.
-  size_t publish_threads = 0;
   /// Per-worker ring size for latency samples (Stats()).
   size_t latency_window = 1 << 14;
 
@@ -399,6 +392,7 @@ class PitexService {
     obs::Counter* fenced_writes = nullptr;
     obs::Histogram* sojourn = nullptr;
     obs::Histogram* publish_dirty_users = nullptr;
+    obs::Histogram* publish_bytes_copied = nullptr;
     // Derived gauges, written only by CollectDerivedMetrics().
     obs::Gauge* cache_entries = nullptr;
     obs::Gauge* cache_insertions = nullptr;
@@ -470,9 +464,6 @@ class PitexService {
   Mutex update_mutex_;
   // Shadow copy repairs mutate privately (enable_updates only).
   std::unique_ptr<DynamicRrIndex> master_ PITEX_GUARDED_BY(update_mutex_);
-  // Maintenance pool for publish-side packs (never the pump pool — its
-  // workers are parked for good).
-  std::unique_ptr<ThreadPool> publish_pool_ PITEX_GUARDED_BY(update_mutex_);
   // Backoff jitter for publish retries. The fixed seed is deliberate:
   // jitter decorrelates retry timing across *publishers*, which a shared
   // deterministic stream still provides, and keeping it off the query

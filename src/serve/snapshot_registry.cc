@@ -25,10 +25,10 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
 }
 
 std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
-    const DynamicRrIndex& master, uint64_t epoch, ThreadPool* pack_pool,
+    const DynamicRrIndex& master, uint64_t epoch,
     const IndexSnapshot* previous) {
   // Chaos hook: a freeze that "fails" before any work models the
-  // transient failures (allocation pressure, wedged pack pool) a real
+  // transient failures (allocation pressure, a lost race) a real
   // publish path must survive. Callers treat nullptr as a retryable
   // error (PitexService::FreezeSnapshotLocked backs off and retries).
   if (PITEX_FAILPOINT("serve/publish_freeze")) return nullptr;
@@ -37,41 +37,49 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
   // trace the span is inert.
   PITEX_SPAN(kPack);
   auto snapshot = std::shared_ptr<IndexSnapshot>(new IndexSnapshot());
-  // The frozen network copy must live in the snapshot (stable address)
-  // before the RrIndex replica can reference it.
-  auto network = std::make_shared<SocialNetwork>();
-  const size_t num_vertices = master.network().num_vertices();
-  RrSketchPool pool;
-  if (pack_pool != nullptr) {
-    // The freeze has two independent halves — the (post-update) network
-    // copy and the sketch pack. With a pool they overlap: the copy runs
-    // as one pool task while Pack fans its copy/containing passes over
-    // the remaining workers; Pack's internal Wait covers the copy task
-    // (ThreadPool::Wait is global quiescence).
-    PITEX_CHECK_MSG(
-        pack_pool->Submit([&network, &master] { *network = master.network(); }),
-        "pack pool shut down mid-freeze");
-    pool = RrSketchPool::Pack(master.graphs(), num_vertices, pack_pool);
-    pack_pool->Wait();
-  } else {
-    *network = master.network();
-    pool = RrSketchPool::Pack(master.graphs(), num_vertices);
-  }
+  // The network must live in the snapshot (stable address) before the
+  // RrIndex replica can reference it. Copying it shares the topology and
+  // every edge-topic chunk with the master.
+  auto network = std::make_shared<const SocialNetwork>(master.network());
+  const size_t num_vertices = network->num_vertices();
   snapshot->rr_index_ = RrIndex::FromPool(*network, master.options(),
-                                          master.theta(), std::move(pool));
+                                          master.theta(), master.Pack());
   snapshot->network_ = std::move(network);
   snapshot->epoch_ = epoch;
-  if (previous != nullptr) {
-    PITEX_CHECK_MSG(previous->epoch_ < epoch, "snapshot epochs must increase");
-    // O(|V|) copy-forward: negligible beside the network copy above.
-    if (previous->dirtied_at_.empty()) {
-      snapshot->dirtied_at_.assign(num_vertices, previous->epoch_);
-    } else {
-      snapshot->dirtied_at_ = previous->dirtied_at_;
+  const RrSketchPool& pool = snapshot->rr_index_->pool();
+  const InfluenceGraph& influence = snapshot->network_->influence;
+  if (previous == nullptr) {
+    snapshot->bytes_copied_ = pool.SizeBytes() + influence.SizeBytes();
+    return snapshot;
+  }
+  PITEX_CHECK_MSG(previous->epoch_ < epoch, "snapshot epochs must increase");
+  snapshot->bytes_copied_ =
+      pool.BytesNotSharedWith(previous->rr_index_->pool()) +
+      influence.BytesNotSharedWith(previous->network_->influence);
+  // Carry the map forward block by block: a block holding a dirty vertex
+  // is copied once and stamped, every other block is shared. A previous
+  // snapshot without a map (every vertex dirtied at its epoch) lends one
+  // uniform block to every slot.
+  if (previous->dirtied_at_.empty()) {
+    auto uniform = std::make_shared<DirtyBlock>();
+    uniform->fill(previous->epoch_);
+    snapshot->bytes_copied_ += sizeof(DirtyBlock);
+    snapshot->dirtied_at_.assign(
+        (num_vertices + kDirtyBlockVertices - 1) / kDirtyBlockVertices,
+        std::move(uniform));
+  } else {
+    snapshot->dirtied_at_ = previous->dirtied_at_;
+  }
+  std::vector<std::shared_ptr<DirtyBlock>> copied(
+      snapshot->dirtied_at_.size());
+  for (const VertexId v : master.dirty_vertices()) {
+    const size_t b = v / kDirtyBlockVertices;
+    if (copied[b] == nullptr) {
+      copied[b] = std::make_shared<DirtyBlock>(*snapshot->dirtied_at_[b]);
+      snapshot->dirtied_at_[b] = copied[b];
+      snapshot->bytes_copied_ += sizeof(DirtyBlock);
     }
-    for (const VertexId v : master.dirty_vertices()) {
-      snapshot->dirtied_at_[v] = epoch;
-    }
+    (*copied[b])[v % kDirtyBlockVertices] = epoch;
   }
   return snapshot;
 }

@@ -6,14 +6,20 @@
 // every in-flight query for the duration of a repair batch. Instead the
 // registry versions the index into immutable *snapshots*:
 //
-//   * an IndexSnapshot is a frozen (network copy, RrIndex replica) pair
+//   * an IndexSnapshot is a frozen (network, RrIndex replica) pair
 //     stamped with a monotonically increasing epoch. It is never mutated
 //     after construction, so any number of workers read it without
 //     synchronization (RrIndex estimation is const + per-thread scratch);
 //   * repairs run on the writer's private master DynamicRrIndex — a
-//     shadow copy no reader ever sees — and publishing packs the master
+//     shadow copy no reader ever sees — and publishing freezes the master
 //     into a fresh snapshot and swaps the registry's current pointer
 //     under a mutex held for nanoseconds, not for the repair;
+//   * a freeze copies only what changed: the snapshot's network shares
+//     the master's topology and unchanged edge-topic chunks, and its
+//     pool shares every sketch and containing chunk the batches since
+//     the last freeze left alone (DynamicRrIndex::Pack). Snapshots still
+//     pinned by readers share those chunks too, so old epochs cost only
+//     the chunks that differ;
 //   * each snapshot carries a dirty-user map (DirtiedAt): per vertex, the
 //     latest epoch at which its answers may have changed. Readers keep
 //     every per-user result computed at an epoch no older than that --
@@ -32,6 +38,7 @@
 #ifndef PITEX_SRC_SERVE_SNAPSHOT_REGISTRY_H_
 #define PITEX_SRC_SERVE_SNAPSHOT_REGISTRY_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -51,9 +58,10 @@ namespace pitex {
 /// for as long as any engine references it.
 class IndexSnapshot {
  public:
-  /// Frozen copy of the influence model the index was sampled from;
-  /// posterior probabilities for queries served from this snapshot must
-  /// be computed against it.
+  /// Frozen copy of the influence model the index was sampled from
+  /// (sharing storage with the master and older snapshots); posterior
+  /// probabilities for queries served from this snapshot must be
+  /// computed against it.
   const SocialNetwork& network() const { return *network_; }
   /// Shared RR-Graph replica (kIndexEst / kIndexEstPlus), else null.
   /// Read-only after build; safe for concurrent engines (see
@@ -70,8 +78,14 @@ class IndexSnapshot {
   /// predecessor (the first publish, recovery, Wrap) reports its own
   /// epoch for every vertex.
   uint64_t DirtiedAt(VertexId u) const {
-    return dirtied_at_.empty() ? epoch_ : dirtied_at_[u];
+    if (dirtied_at_.empty()) return epoch_;
+    return (*dirtied_at_[u / kDirtyBlockVertices])[u % kDirtyBlockVertices];
   }
+
+  /// Bytes of the sketch, containing, edge-topic and dirty-map chunks
+  /// this snapshot does not share with the `previous` it was frozen
+  /// against (all of them without one): what its publish newly created.
+  size_t bytes_copied() const { return bytes_copied_; }
 
   /// Aliases `network` without copying (initial snapshot on a caller-
   /// owned network; `network` must outlive the snapshot). `rr_index` may
@@ -80,27 +94,28 @@ class IndexSnapshot {
       const SocialNetwork* network, std::unique_ptr<RrIndex> rr_index,
       std::string delay_snapshot, uint64_t epoch);
 
-  /// Freezes the master's current state: copies its (post-update)
-  /// network and packs its sketches into an immutable pooled RrIndex
-  /// replica (RrIndex::FromPool). This is the publish path for
-  /// serve-during-update. When `pack_pool` is non-null the pool pack
-  /// (sketch copy + containing index) runs across its workers — pass a
-  /// maintenance pool, never the pool the caller is running on.
+  /// Freezes the master's current state: a network copy that shares the
+  /// master's topology and edge-topic chunks, and an immutable pooled
+  /// RrIndex replica (RrIndex::FromPool) over DynamicRrIndex::Pack(),
+  /// which re-packs only the chunks dirtied since the master's last
+  /// freeze. This is the publish path for serve-during-update.
   ///
   /// Returns nullptr when the freeze fails — today only via the
   /// "serve/publish_freeze" fail point (src/util/failpoint.h), standing
   /// in for the transient failures a real publish path must survive.
   /// Callers must treat nullptr as retryable (see
-  /// PitexService::ApplyUpdates for the retry/backoff policy).
+  /// PitexService::ApplyUpdates for the retry/backoff policy); the
+  /// master's dirty chunks then stay dirty for the next freeze.
   ///
-  /// `previous` is the snapshot the master's dirty set
-  /// (DynamicRrIndex::dirty_vertices) accumulated since: its DirtiedAt
-  /// map is copied forward with the dirty vertices stamped `epoch`. Null
-  /// marks every vertex dirtied at `epoch`. The caller clears the
-  /// master's dirty set once the snapshot is published.
+  /// `previous` is the snapshot (itself frozen by FromDynamic) the
+  /// master's dirty set (DynamicRrIndex::dirty_vertices) accumulated
+  /// since: its DirtiedAt
+  /// map is carried forward with the dirty vertices stamped `epoch`,
+  /// sharing every block that holds no dirty vertex. Null marks every
+  /// vertex dirtied at `epoch`. The caller clears the master's dirty set
+  /// once the snapshot is published.
   static std::shared_ptr<const IndexSnapshot> FromDynamic(
       const DynamicRrIndex& master, uint64_t epoch,
-      ThreadPool* pack_pool = nullptr,
       const IndexSnapshot* previous = nullptr);
 
  private:
@@ -109,9 +124,15 @@ class IndexSnapshot {
   std::shared_ptr<const SocialNetwork> network_;
   std::unique_ptr<RrIndex> rr_index_;
   std::string delay_snapshot_;
+  static constexpr size_t kDirtyBlockVertices = 256;
+  using DirtyBlock = std::array<uint64_t, kDirtyBlockVertices>;
+
   uint64_t epoch_ = 0;
-  // DirtiedAt per vertex; empty = every vertex dirtied at epoch_.
-  std::vector<uint64_t> dirtied_at_;
+  // DirtiedAt per vertex in immutable blocks of kDirtyBlockVertices
+  // vertices, shared with the previous snapshot where no vertex changed;
+  // empty = every vertex dirtied at epoch_.
+  std::vector<std::shared_ptr<const DirtyBlock>> dirtied_at_;
+  size_t bytes_copied_ = 0;
 };
 
 class IndexSnapshotRegistry {

@@ -14,12 +14,14 @@
 #ifndef PITEX_SRC_UTIL_SERIALIZE_H_
 #define PITEX_SRC_UTIL_SERIALIZE_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace pitex {
@@ -60,6 +62,12 @@ class BinaryWriter {
   /// Length-prefixed vector of fixed-width scalars.
   template <typename T>
   void WriteVector(std::span<const T> values);
+  /// WriteVector's element encoding without the length prefix (the
+  /// caller writes the count, e.g. for an array stored in pieces).
+  /// Elements are encoded into a block buffer and written a block at a
+  /// time: the bytes and the checksum equal per-element writes.
+  template <typename T>
+  void WriteElements(std::span<const T> values);
 
   /// Appends the running checksum (not itself checksummed). Call exactly
   /// once, last.
@@ -116,23 +124,42 @@ class BinaryReader {
 
 template <typename T>
 void BinaryWriter::WriteVector(std::span<const T> values) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "WriteVector requires trivially copyable elements");
   WriteU64(values.size());
+  WriteElements(values);
+}
+
+template <typename T>
+void BinaryWriter::WriteElements(std::span<const T> values) {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "WriteElements requires trivially copyable elements");
+  static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8,
+                "unsupported element width");
+  constexpr size_t kBlockBytes = 4096;  // a multiple of every width
+  unsigned char block[kBlockBytes];
+  size_t used = 0;
   for (const T& v : values) {
-    if constexpr (sizeof(T) == 1) {
-      WriteU8(static_cast<uint8_t>(v));
-    } else if constexpr (sizeof(T) == 4 && std::is_floating_point_v<T>) {
-      WriteF32(static_cast<float>(v));
-    } else if constexpr (sizeof(T) == 4) {
-      WriteU32(static_cast<uint32_t>(v));
+    uint64_t bits;
+    if constexpr (sizeof(T) == 4 && std::is_floating_point_v<T>) {
+      bits = std::bit_cast<uint32_t>(static_cast<float>(v));
     } else if constexpr (sizeof(T) == 8 && std::is_floating_point_v<T>) {
-      WriteF64(static_cast<double>(v));
+      bits = std::bit_cast<uint64_t>(static_cast<double>(v));
+    } else if constexpr (sizeof(T) == 1) {
+      bits = static_cast<uint8_t>(v);
+    } else if constexpr (sizeof(T) == 4) {
+      bits = static_cast<uint32_t>(v);
     } else {
-      static_assert(sizeof(T) == 8, "unsupported element width");
-      WriteU64(static_cast<uint64_t>(v));
+      bits = static_cast<uint64_t>(v);
+    }
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      block[used + i] = static_cast<unsigned char>(bits >> (8 * i));
+    }
+    used += sizeof(T);
+    if (used == kBlockBytes) {
+      WriteBytes(block, used);
+      used = 0;
     }
   }
+  if (used > 0) WriteBytes(block, used);
 }
 
 template <typename T>

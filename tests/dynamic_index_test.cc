@@ -469,7 +469,7 @@ TEST(DynamicRrIndexTest, DirtySetCoversEveryChangedAnswer) {
     master.ApplyUpdates(batch);
     ++epoch;
     std::shared_ptr<const IndexSnapshot> after =
-        IndexSnapshot::FromDynamic(master, epoch, nullptr, before.get());
+        IndexSnapshot::FromDynamic(master, epoch, before.get());
     const std::set<VertexId> dirty(master.dirty_vertices().begin(),
                                    master.dirty_vertices().end());
     ASSERT_EQ(dirty.size(), master.dirty_vertices().size()) << "duplicates";

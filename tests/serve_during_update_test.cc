@@ -43,9 +43,6 @@ TEST(ServeDuringUpdateTest, EveryAnswerExactForItsEpoch) {
   options.mode = ScheduleMode::kWorkStealing;
   options.cache_capacity = 64;  // cache must stay epoch-correct too
   options.enable_updates = true;
-  // Exercise the maintenance-pool publish path (overlapped network copy
-  // + pool-parallel pack) under concurrency, incl. the TSan CI job.
-  options.publish_threads = 2;
   PitexService service(&n, options);
   service.Start();
 
@@ -402,11 +399,11 @@ TEST(ServeDuringUpdateTest, RebindAfterPreviousSnapshotIsReclaimed) {
   Rng rng(8);
   master.ApplyUpdates(RandomBatch(n, 4, true, &rng));
   std::shared_ptr<const IndexSnapshot> second =
-      IndexSnapshot::FromDynamic(master, 2, nullptr, first.get());
+      IndexSnapshot::FromDynamic(master, 2, first.get());
   master.ClearDirtyVertices();
   master.ApplyUpdates(RandomBatch(n, 4, false, &rng));
   std::shared_ptr<const IndexSnapshot> third =
-      IndexSnapshot::FromDynamic(master, 3, nullptr, second.get());
+      IndexSnapshot::FromDynamic(master, 3, second.get());
   const std::weak_ptr<const IndexSnapshot> watch = first;
   first.reset();
   second.reset();
