@@ -15,6 +15,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serve/admission.h"
+#include "src/serve/recovery.h"
 #include "src/util/failpoint.h"
 #include "src/index/dynamic_index.h"
 #include "src/index/index_io.h"
@@ -191,6 +192,69 @@ void BM_SnapshotPublish(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotPublish)->Arg(1)->Arg(8)->Arg(64)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_Checkpoint(benchmark::State& state) {
+  // One checkpoint (WriteCheckpoint: snapshot file + fsync + rename +
+  // manifest) after Arg publishes of 8-edge batches since the previous
+  // one; the publishes are not timed. bytes_hashed is what the checkpoint
+  // folds into fresh chunk digests (pitex_checkpoint_bytes_hashed): the
+  // sketch, edge-topic and topology chunks built since the last
+  // checkpoint, so it tracks the publishes in between, not the index.
+  // total_bytes is the snapshot's pool + edge-topic footprint for scale.
+  static DynamicRrIndex* master = [] {
+    RrIndexOptions options;
+    options.theta_per_vertex = 4.0;
+    auto* m = new DynamicRrIndex(Network(), options);
+    m->Build();
+    return m;
+  }();
+  static uint64_t epoch = 0;  // the master is shared across args
+  const auto publishes = static_cast<size_t>(state.range(0));
+  const SocialNetwork& n = Network();
+  Rng rng(publishes);
+  std::vector<std::vector<EdgeInfluenceUpdate>> batches(64);
+  for (auto& batch : batches) {
+    batch.resize(8);
+    for (EdgeInfluenceUpdate& update : batch) {
+      update.edge = static_cast<EdgeId>(rng.NextBounded(n.num_edges()));
+      update.entries = {
+          {static_cast<TopicId>(rng.NextBounded(n.topics.num_topics())),
+           0.5 * rng.NextDouble()}};
+    }
+  }
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pitex_bm_checkpoint")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CheckpointManifest manifest;
+  manifest.snapshot_file = "checkpoint.rridx";
+  auto snapshot = IndexSnapshot::FromDynamic(*master, ++epoch);
+  master->ClearDirtyVertices();
+  WriteCheckpoint(dir, *snapshot->rr_index(), manifest);  // hashes it all
+  size_t next = 0;
+  uint64_t hashed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t i = 0; i < publishes; ++i) {
+      master->ApplyUpdates(batches[next++ % batches.size()]);
+      snapshot = IndexSnapshot::FromDynamic(*master, ++epoch, snapshot.get());
+      master->ClearDirtyVertices();
+    }
+    manifest.epoch = epoch;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(WriteCheckpoint(
+        dir, *snapshot->rr_index(), manifest, nullptr, &hashed));
+  }
+  state.counters["bytes_hashed"] = benchmark::Counter(
+      static_cast<double>(hashed), benchmark::Counter::kAvgIterations);
+  state.counters["total_bytes"] = static_cast<double>(
+      snapshot->rr_index()->pool().SizeBytes() +
+      snapshot->network().influence.SizeBytes());
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_Checkpoint)->Arg(1)->Arg(8)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WorkerRebind(benchmark::State& state) {
   // A serving worker's move to a new epoch, followed by the IndexEst+

@@ -12,6 +12,24 @@ double Graph::AverageDegree() const {
          static_cast<double>(num_vertices());
 }
 
+uint64_t Graph::TopologyDigest(uint64_t* bytes_hashed) const {
+  const auto hash = [this](Hash64* h) {
+    h->UpdateU64(num_vertices());
+    h->UpdateU64(num_edges());
+    const auto sink = [h](const void* data, size_t size) {
+      h->Update(data, size);
+    };
+    EmitLittleEndian<4>(tails_.data(), tails_.size_bytes(), sink);
+    EmitLittleEndian<4>(heads_.data(), heads_.size_bytes(), sink);
+  };
+  if (storage_ == nullptr) {  // the empty graph
+    Hash64 h;
+    hash(&h);
+    return h.digest();
+  }
+  return storage_->digest.Get(hash, bytes_hashed);
+}
+
 GraphBuilder::GraphBuilder(size_t num_vertices)
     : num_vertices_(num_vertices) {}
 

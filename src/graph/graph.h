@@ -10,6 +10,8 @@
 // spans into it: reads add no indirection, and copying a Graph (every
 // SocialNetwork copy -- the dynamic index's master, each published
 // snapshot) shares the topology instead of duplicating O(|E|) bytes.
+// The block also caches its digest (TopologyDigest), so fingerprinting a
+// network hashes a topology once in its lifetime.
 
 #ifndef PITEX_SRC_GRAPH_GRAPH_H_
 #define PITEX_SRC_GRAPH_GRAPH_H_
@@ -20,6 +22,8 @@
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "src/util/serialize.h"
 
 namespace pitex {
 
@@ -75,6 +79,12 @@ class Graph {
   /// Average out-degree |E| / |V|.
   double AverageDegree() const;
 
+  /// Hash64 digest of the vertex count, the edge count and every edge's
+  /// tail and head: hashed on first use and cached in the shared block
+  /// (copies of this graph reuse it). Adds the bytes it hashes to
+  /// `*bytes_hashed` (when non-null).
+  uint64_t TopologyDigest(uint64_t* bytes_hashed = nullptr) const;
+
  private:
   friend class GraphBuilder;
 
@@ -85,6 +95,7 @@ class Graph {
     std::vector<AdjEntry> in_adj;
     std::vector<VertexId> tails;
     std::vector<VertexId> heads;
+    CachedDigest digest;
   };
   static constexpr uint64_t kEmptyOffsets[1] = {0};
 

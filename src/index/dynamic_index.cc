@@ -198,7 +198,12 @@ void DynamicRrIndex::AdoptSketches(const RrIndex& checkpoint) {
   }
   dirty_mark_.assign(network_.num_vertices(), 0);
   envelope_ = EnvelopeTable(network_.graph, network_.influence);
-  MarkAllChunksDirty();
+  // The checkpoint's pool is what Pack() would build from these
+  // sketches; adopting it keeps the digests the load set on its chunks.
+  packed_ = pool;
+  sketch_chunk_dirty_.assign(RrSketchPool::SketchChunks(n), 0);
+  containing_chunk_dirty_.assign(
+      RrSketchPool::ContainingChunks(containing_.size()), 0);
 }
 
 void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,

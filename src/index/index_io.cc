@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <ostream>
+#include <streambuf>
 #include <utility>
 #include <vector>
 
@@ -18,12 +21,12 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v1 stored RR-Graphs one record per graph; v2 stores the pooled
-// CSR-of-CSRs arrays (RrSketchPool) in bulk. v1 files remain readable:
-// their graphs are re-packed into a pool on load. The DelayMat payload is
-// identical in both versions.
-constexpr uint32_t kVersionV1 = 1;
-constexpr uint32_t kVersionCurrent = 2;
+// v2 stored the RR-Graph payload as one flat CSR-of-CSRs under a
+// byte-serial FNV-1a checksum and fingerprint; v3 stores one record per
+// sketch chunk, and its checksum and fingerprint are Hash64 folds of
+// per-chunk digests. v2 files stay readable. The DelayMat payload is the
+// same in both versions; only the checksum and fingerprint differ.
+constexpr uint32_t kVersionV2 = 2;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -45,75 +48,9 @@ uint64_t SaturatingMul(uint64_t a, uint64_t b) {
   return a * b;
 }
 
-// Writes the shared header (magic, version, kind, fingerprint, options).
-void WriteHeader(BinaryWriter* writer, uint8_t kind, uint64_t fingerprint,
-                 const RrIndexOptions& options) {
-  writer->WriteString(kMagic);
-  writer->WriteU32(kVersionCurrent);
-  writer->WriteU8(kind);
-  writer->WriteU64(fingerprint);
-  writer->WriteF64(options.eps);
-  writer->WriteF64(options.delta);
-  writer->WriteU64(static_cast<uint64_t>(options.cap_k));
-  writer->WriteU64(options.seed);
-}
-
-// Reads and validates the shared header; fills `options` fields that are
-// persisted and reports the file's format version through `*version`.
-// Returns false with `*error` set on any mismatch.
-bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
-                uint64_t expected_fingerprint, RrIndexOptions* options,
-                uint32_t* version, IndexIoError* error) {
-  std::string magic;
-  uint8_t kind = 0;
-  uint64_t fingerprint = 0;
-  if (!reader->ReadString(&magic) || magic != kMagic) {
-    SetError(error, IndexIoCode::kBadMagic, "not a PITEX index file");
-    return false;
-  }
-  if (!reader->ReadU32(version) ||
-      (*version != kVersionV1 && *version != kVersionCurrent)) {
-    SetError(error, IndexIoCode::kBadVersion,
-             "unsupported index file version");
-    return false;
-  }
-  if (!reader->ReadU8(&kind) || kind != expected_kind) {
-    SetError(error, IndexIoCode::kWrongKind,
-             "index file holds a different index kind");
-    return false;
-  }
-  if (!reader->ReadU64(&fingerprint) || fingerprint != expected_fingerprint) {
-    SetError(error, IndexIoCode::kFingerprintMismatch,
-             "index was built from a different network");
-    return false;
-  }
-  uint64_t cap_k = 0;
-  if (!reader->ReadF64(&options->eps) || !reader->ReadF64(&options->delta) ||
-      !reader->ReadU64(&cap_k) || !reader->ReadU64(&options->seed)) {
-    SetError(error, IndexIoCode::kTruncated, "truncated index header");
-    return false;
-  }
-  // The options steer sample-size formulas downstream; a NaN eps or an
-  // absurd cap_k used to flow through silently and only misbehave at
-  // query time. Reject implausible values as header corruption here.
-  if (!std::isfinite(options->eps) || options->eps <= 0.0 ||
-      !std::isfinite(options->delta) || options->delta <= 0.0) {
-    SetError(error, IndexIoCode::kBadOptions,
-             "implausible accuracy options: corrupt header");
-    return false;
-  }
-  if (cap_k == 0 || cap_k > kMaxPlausibleCapK) {
-    SetError(error, IndexIoCode::kBadOptions,
-             "implausible cap_k: corrupt header");
-    return false;
-  }
-  options->cap_k = static_cast<int64_t>(cap_k);
-  return true;
-}
-
-}  // namespace
-
-uint64_t NetworkFingerprint(const SocialNetwork& network) {
+// The fingerprint v2 files carry: FNV-1a over the network byte by byte
+// (~18 ms on a 285k-edge network), so it is computed only to load one.
+uint64_t NetworkFingerprintV2(const SocialNetwork& network) {
   Fnv1a hash;
   auto fold_u64 = [&hash](uint64_t v) { hash.Update(&v, sizeof(v)); };
   fold_u64(network.num_vertices());
@@ -142,12 +79,222 @@ uint64_t NetworkFingerprint(const SocialNetwork& network) {
   return hash.digest();
 }
 
-// Befriended by RrIndex and DelayMatIndex: reads/writes their private
-// payloads.
+// Writes the shared header (magic, version, kind, fingerprint, options).
+void WriteHeader(BinaryWriter* writer, uint8_t kind, uint64_t fingerprint,
+                 const RrIndexOptions& options) {
+  writer->WriteString(kMagic);
+  writer->WriteU32(kIndexFormatVersion);
+  writer->WriteU8(kind);
+  writer->WriteU64(fingerprint);
+  writer->WriteF64(options.eps);
+  writer->WriteF64(options.delta);
+  writer->WriteU64(static_cast<uint64_t>(options.cap_k));
+  writer->WriteU64(options.seed);
+}
+
+// Reads and validates the shared header against `network`; selects the
+// reader's checksum by the file's format version, fills the persisted
+// `options` fields and reports the version through `*version`. Returns
+// false with `*error` set on any mismatch.
+bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
+                const SocialNetwork& network, RrIndexOptions* options,
+                uint32_t* version, IndexIoError* error) {
+  std::string magic;
+  uint8_t kind = 0;
+  uint64_t fingerprint = 0;
+  if (!reader->ReadString(&magic) || magic != kMagic) {
+    SetError(error, IndexIoCode::kBadMagic, "not a PITEX index file");
+    return false;
+  }
+  if (!reader->ReadU32(version) ||
+      (*version != kVersionV2 && *version != kIndexFormatVersion)) {
+    SetError(error, IndexIoCode::kBadVersion,
+             "unsupported index file version");
+    return false;
+  }
+  const bool v2 = *version == kVersionV2;
+  reader->SelectChecksum(v2 ? Checksum::kFnv1a : Checksum::kHash64);
+  if (!reader->ReadU8(&kind) || kind != expected_kind) {
+    SetError(error, IndexIoCode::kWrongKind,
+             "index file holds a different index kind");
+    return false;
+  }
+  if (!reader->ReadU64(&fingerprint) ||
+      fingerprint != (v2 ? NetworkFingerprintV2(network)
+                         : NetworkFingerprint(network))) {
+    SetError(error, IndexIoCode::kFingerprintMismatch,
+             "index was built from a different network");
+    return false;
+  }
+  uint64_t cap_k = 0;
+  if (!reader->ReadF64(&options->eps) || !reader->ReadF64(&options->delta) ||
+      !reader->ReadU64(&cap_k) || !reader->ReadU64(&options->seed)) {
+    SetError(error, IndexIoCode::kTruncated, "truncated index header");
+    return false;
+  }
+  // The options steer sample-size formulas downstream; a NaN eps or an
+  // absurd cap_k used to flow through silently and only misbehave at
+  // query time. Reject implausible values as header corruption here.
+  if (!std::isfinite(options->eps) || options->eps <= 0.0 ||
+      !std::isfinite(options->delta) || options->delta <= 0.0) {
+    SetError(error, IndexIoCode::kBadOptions,
+             "implausible accuracy options: corrupt header");
+    return false;
+  }
+  if (cap_k == 0 || cap_k > kMaxPlausibleCapK) {
+    SetError(error, IndexIoCode::kBadOptions,
+             "implausible cap_k: corrupt header");
+    return false;
+  }
+  options->cap_k = static_cast<int64_t>(cap_k);
+  return true;
+}
+
+// The structural guarantees every pooled consumer relies on
+// (BuildContaining, LocalIndex, IsReachable), checked per sketch by both
+// readers: 1..max_vertices vertices, sorted strictly ascending and in
+// range, the root a member, a local CSR from 0 to the edge count that
+// never decreases, edge heads inside the sketch and edge ids in range.
+bool ValidateSketch(const RRView& rr, uint64_t max_vertices,
+                    uint64_t max_edges, IndexIoError* error) {
+  const uint64_t n = rr.vertices.size();
+  if (n == 0 || n > max_vertices) {
+    SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex count");
+    return false;
+  }
+  for (uint64_t j = 0; j < n; ++j) {
+    if (rr.vertices[j] >= max_vertices ||
+        (j > 0 && rr.vertices[j] <= rr.vertices[j - 1])) {
+      SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex array");
+      return false;
+    }
+  }
+  if (!std::binary_search(rr.vertices.begin(), rr.vertices.end(), rr.root)) {
+    SetError(error, IndexIoCode::kCorruptPayload, "sketch root not a sketch member");
+    return false;
+  }
+  if (rr.offsets.front() != 0 || rr.offsets.back() != rr.edges.size()) {
+    SetError(error, IndexIoCode::kCorruptPayload, "inconsistent sketch CSR offsets");
+    return false;
+  }
+  for (uint64_t j = 0; j < n; ++j) {
+    if (rr.offsets[j] > rr.offsets[j + 1]) {
+      SetError(error, IndexIoCode::kCorruptPayload, "non-monotone sketch CSR offsets");
+      return false;
+    }
+  }
+  for (const RRLocalEdge& edge : rr.edges) {
+    if (edge.head_local >= n || edge.edge >= max_edges) {
+      SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch edge data");
+      return false;
+    }
+  }
+  return true;
+}
+
+// Reads `size` bytes of little-endian kWordBytes-wide words into `data`
+// (host order after), folding the bytes as read into `*digest`.
+template <size_t kWordBytes>
+bool ReadWords(BinaryReader* reader, void* data, size_t size,
+               Hash64* digest) {
+  if (size == 0) return true;
+  if (!reader->ReadUnhashed(data, size)) return false;
+  digest->Update(data, size);
+  FromLittleEndian<kWordBytes>(data, size);
+  return true;
+}
+
+// ReadWords into `*values`, `count` elements. The count comes from the
+// file, so the vector grows as bytes actually arrive (a step at a time)
+// instead of being sized up front: a fabricated count costs only the
+// bytes present before the stream ends.
+template <size_t kWordBytes, typename T>
+bool ReadArray(BinaryReader* reader, uint64_t count, std::vector<T>* values,
+               Hash64* digest) {
+  constexpr uint64_t kStep = (uint64_t{1} << 20) / sizeof(T);
+  values->clear();
+  values->reserve(std::min(count, kStep));
+  for (uint64_t done = 0; done < count;) {
+    const uint64_t n = std::min(count - done, kStep);
+    values->resize(done + n);
+    if (!ReadWords<kWordBytes>(reader, values->data() + done, n * sizeof(T),
+                               digest)) {
+      return false;
+    }
+    done += n;
+  }
+  return true;
+}
+
+// Forwards to `sink` a block at a time. std::filebuf passes every write
+// of 1 KiB or more straight to the kernel, so streaming a v3 payload
+// array by array would cost one syscall per array (~600 for a
+// 96k-sketch index, two thirds of a save's CPU); staged here they cost
+// one per block. The block is bounded: the file is never buffered whole.
+class BlockBuf : public std::streambuf {
+ public:
+  explicit BlockBuf(std::streambuf* sink) : sink_(sink), block_(kBlockBytes) {
+    setp(block_.data(), block_.data() + block_.size());
+  }
+  BlockBuf(const BlockBuf&) = delete;
+  BlockBuf& operator=(const BlockBuf&) = delete;
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!Drain()) return traits_type::eof();
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(c);
+      pbump(1);
+    }
+    return traits_type::not_eof(c);
+  }
+  int sync() override { return Drain() && sink_->pubsync() == 0 ? 0 : -1; }
+
+ private:
+  static constexpr size_t kBlockBytes = size_t{256} << 10;
+
+  bool Drain() {
+    const std::streamsize n = pptr() - pbase();
+    if (n > 0 && sink_->sputn(pbase(), n) != n) return false;
+    setp(block_.data(), block_.data() + block_.size());
+    return true;
+  }
+
+  std::streambuf* sink_;
+  std::vector<char> block_;
+};
+
+}  // namespace
+
+uint64_t NetworkFingerprint(const SocialNetwork& network,
+                            uint64_t* bytes_hashed) {
+  Hash64 hash;
+  hash.UpdateU64(network.graph.TopologyDigest(bytes_hashed));
+  hash.UpdateU64(network.influence.Digest(bytes_hashed));
+  const TopicModel& topics = network.topics;
+  hash.UpdateU64(topics.num_topics());
+  hash.UpdateU64(topics.num_tags());
+  for (TopicId z = 0; z < topics.num_topics(); ++z) {
+    hash.UpdateU64(std::bit_cast<uint64_t>(topics.prior()[z]));
+    for (TagId w = 0; w < topics.num_tags(); ++w) {
+      const double p = topics.TagTopic(w, z);
+      if (p > 0.0) {
+        hash.UpdateU64(w);
+        hash.UpdateU64(std::bit_cast<uint64_t>(p));
+      }
+    }
+  }
+  return hash.digest();
+}
+
+// Befriended by RrIndex, DelayMatIndex and RrSketchPool: reads/writes
+// their private payloads.
 class IndexIo {
  public:
+  using SketchChunk = RrSketchPool::SketchChunk;
+
   static bool WriteRr(const RrIndex& index, std::ostream& out,
-                      IndexIoError* error) {
+                      uint64_t* bytes_hashed, IndexIoError* error) {
     if (PITEX_FAILPOINT("index_io/save")) {
       SetError(error, IndexIoCode::kFaultInjected,
                "fault injected: index_io/save");
@@ -158,63 +305,37 @@ class IndexIo {
                "index not built; call Build() before saving");
       return false;
     }
+    if (out.rdbuf() == nullptr) {
+      out.setstate(std::ios::badbit);
+      SetError(error, IndexIoCode::kWriteFailed, "output stream has no buffer");
+      return false;
+    }
     const RrSketchPool& pool = index.pool_;
-    BinaryWriter writer(&out);
+    BlockBuf block(out.rdbuf());
+    std::ostream staged(&block);
+    BinaryWriter writer(&staged, Checksum::kHash64);
     WriteHeader(&writer, kKindRrGraphs,
-                NetworkFingerprint(index.network_), index.options_);
+                NetworkFingerprint(index.network_, bytes_hashed),
+                index.options_);
     writer.WriteU64(index.theta_);
     writer.WriteU64(pool.num_sketches());
-    // v2 payload: the pooled arrays as one flat CSR-of-CSRs (the
-    // containing index is rebuilt on load — it is a permutation of the
-    // vertex array). The chunks are written back to back, with the
-    // per-chunk starts rebased onto global positions, so the bytes do
-    // not depend on the chunk size. Each array keeps WriteVector's
-    // encoding (u64 count, then the elements); edges are written
-    // field-wise so the encoding stays layout-independent.
-    const auto& chunks = pool.sketch_chunks_;
-    std::vector<uint64_t> starts;
-    const auto write_starts = [&](auto starts_of) {
-      writer.WriteU64(pool.num_sketches() + 1);
-      writer.WriteU64(0);
-      uint64_t base = 0;
-      for (const auto& chunk : chunks) {
-        const auto& local = starts_of(*chunk);
-        const size_t count = chunk->num_sketches;
-        starts.assign(local.begin() + 1, local.begin() + count + 1);
-        for (uint64_t& start : starts) start += base;
-        writer.WriteElements<uint64_t>(starts);
-        base += local[count];
-      }
-    };
-    writer.WriteU64(pool.num_sketches());
-    for (const auto& chunk : chunks) {
-      writer.WriteElements<VertexId>(
-          std::span(chunk->roots.data(), chunk->num_sketches));
-    }
-    write_starts([](const auto& c) -> const auto& { return c.vertex_starts; });
-    writer.WriteU64(pool.total_vertices());
-    for (const auto& chunk : chunks) {
-      writer.WriteElements<VertexId>(chunk->vertices);
-    }
-    writer.WriteU64(pool.total_vertices() + pool.num_sketches());
-    for (const auto& chunk : chunks) {
-      writer.WriteElements<uint32_t>(chunk->offsets);
-    }
-    write_starts([](const auto& c) -> const auto& { return c.edge_starts; });
-    writer.WriteU64(pool.total_edges());
-    std::vector<uint32_t> fields;
-    for (const auto& chunk : chunks) {
-      fields.clear();
-      for (const RRLocalEdge& edge : chunk->edges) {
-        fields.push_back(edge.head_local);
-        fields.push_back(edge.edge);
-        fields.push_back(std::bit_cast<uint32_t>(edge.threshold));
-      }
-      writer.WriteElements<uint32_t>(fields);
+    // One record per sketch chunk, streamed straight from the chunk's
+    // arrays. The record bytes stay out of the running checksum; the
+    // chunk's digest (cached in the chunk, so hashed only for chunks
+    // new since they were last saved) is written after them and folded
+    // in instead.
+    for (const auto& chunk : pool.sketch_chunks_) {
+      const uint64_t digest = chunk->Digest(bytes_hashed);
+      chunk->Encode([&writer](const void* data, size_t size) {
+        writer.WriteUnhashed(data, size);
+      });
+      writer.WriteU64(digest);
     }
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
-    if (!writer.ok()) {
+    staged.flush();
+    if (!writer.ok() || !out) {
+      out.setstate(std::ios::badbit);
       SetError(error, IndexIoCode::kWriteFailed,
                "I/O failure while writing index");
       return false;
@@ -222,77 +343,71 @@ class IndexIo {
     return true;
   }
 
-  // v1 payload: one record per graph. Read into staging RRGraphs, then
-  // packed into the pool by the caller.
-  static bool ReadRrGraphsV1(BinaryReader* reader, uint64_t num_graphs,
-                             uint64_t max_vertices, uint64_t max_edges,
-                             std::vector<RRGraph>* staging,
-                             IndexIoError* error) {
-    // num_graphs is bounded only by the file's own theta, so grow the
-    // staging area as records actually parse instead of resizing up
-    // front -- a fabricated count then costs only the bytes present in
-    // the stream before the first corrupt record is rejected.
-    staging->clear();
-    for (uint64_t g = 0; g < num_graphs; ++g) {
-      RRGraph& rr = staging->emplace_back();
-      uint32_t root = 0;
-      if (!reader->ReadU32(&root) || root >= max_vertices) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph root");
+  // v3 payload record of one sketch chunk holding `count` sketches: read
+  // into a fresh chunk while its digest is recomputed from the bytes,
+  // checked against the stored digest, then validated sketch by sketch.
+  static bool ReadSketchChunkV3(BinaryReader* reader, uint64_t count,
+                                uint64_t max_vertices, uint64_t max_edges,
+                                std::shared_ptr<const SketchChunk>* out,
+                                IndexIoError* error) {
+    auto chunk = std::make_shared<SketchChunk>();
+    SketchChunk& c = *chunk;
+    Hash64 digest;
+    uint64_t stored_count = 0;
+    if (!ReadWords<8>(reader, &stored_count, 8, &digest) ||
+        stored_count != count ||
+        !ReadWords<4>(reader, c.roots.data(), count * 4, &digest) ||
+        !ReadWords<8>(reader, c.vertex_starts.data() + 1, count * 8,
+                      &digest) ||
+        !ReadWords<8>(reader, c.edge_starts.data() + 1, count * 8, &digest)) {
+      SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch chunk header");
+      return false;
+    }
+    c.num_sketches = count;
+    for (uint64_t j = 0; j < count; ++j) {
+      if (c.vertex_starts[j + 1] < c.vertex_starts[j] ||
+          c.vertex_starts[j + 1] - c.vertex_starts[j] > max_vertices ||
+          c.edge_starts[j + 1] < c.edge_starts[j] ||
+          c.edge_starts[j + 1] - c.edge_starts[j] > max_edges) {
+        SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch bounds");
         return false;
-      }
-      rr.root = root;
-      if (!reader->ReadVector(&rr.vertices, max_vertices) ||
-          !reader->ReadVector(&rr.offsets, max_vertices + 1)) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph vertex data");
-        return false;
-      }
-      uint64_t num_local_edges = 0;
-      if (!reader->ReadU64(&num_local_edges) || num_local_edges > max_edges) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph edge count");
-        return false;
-      }
-      rr.edges.resize(num_local_edges);
-      for (RRLocalEdge& edge : rr.edges) {
-        if (!reader->ReadU32(&edge.head_local) ||
-            !reader->ReadU32(&edge.edge) ||
-            !reader->ReadF32(&edge.threshold) ||
-            edge.head_local >= rr.vertices.size() || edge.edge >= max_edges) {
-          SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph edge data");
-          return false;
-        }
-      }
-      if (rr.offsets.size() != rr.vertices.size() + 1 ||
-          (rr.offsets.empty() ? 0 : rr.offsets.back()) != rr.edges.size()) {
-        SetError(error, IndexIoCode::kCorruptPayload, "inconsistent RR-Graph CSR layout");
-        return false;
-      }
-      // Same structural guarantees the v2 loader enforces — the pooled
-      // consumers (BuildContaining, LocalIndex, IsReachable) rely on
-      // in-range sorted vertices, a member root and monotone offsets.
-      for (size_t j = 0; j < rr.vertices.size(); ++j) {
-        if (rr.vertices[j] >= max_vertices ||
-            (j > 0 && rr.vertices[j] <= rr.vertices[j - 1])) {
-          SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph vertex array");
-          return false;
-        }
-      }
-      if (!std::binary_search(rr.vertices.begin(), rr.vertices.end(),
-                              rr.root)) {
-        SetError(error, IndexIoCode::kCorruptPayload, "RR-Graph root not a member");
-        return false;
-      }
-      for (size_t j = 0; j + 1 < rr.offsets.size(); ++j) {
-        if (rr.offsets[j] > rr.offsets[j + 1]) {
-          SetError(error, IndexIoCode::kCorruptPayload, "non-monotone RR-Graph CSR offsets");
-          return false;
-        }
       }
     }
+    const uint64_t num_vertices = c.vertex_starts[count];
+    if (!ReadArray<4>(reader, num_vertices, &c.vertices, &digest) ||
+        !ReadArray<4>(reader, num_vertices + count, &c.offsets, &digest) ||
+        !ReadArray<4>(reader, c.edge_starts[count], &c.edges, &digest)) {
+      SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
+      return false;
+    }
+    uint64_t stored_digest = 0;
+    if (!reader->ReadU64(&stored_digest)) {
+      SetError(error, IndexIoCode::kTruncated, "truncated sketch chunk digest");
+      return false;
+    }
+    if (stored_digest != digest.digest()) {
+      SetError(error, IndexIoCode::kChecksumMismatch,
+               "sketch chunk digest mismatch: file corrupted");
+      return false;
+    }
+    c.digest.Set(stored_digest);
+    for (uint64_t j = 0; j < count; ++j) {
+      const uint64_t vb = c.vertex_starts[j];
+      const uint64_t n = c.vertex_starts[j + 1] - vb;
+      const uint64_t eb = c.edge_starts[j];
+      const RRView rr{c.roots[j],
+                      {c.vertices.data() + vb, n},
+                      {c.offsets.data() + vb + j, n + 1},
+                      {c.edges.data() + eb, c.edge_starts[j + 1] - eb}};
+      if (!ValidateSketch(rr, max_vertices, max_edges, error)) return false;
+      c.max_vertices = std::max<size_t>(c.max_vertices, n);
+    }
+    *out = std::move(chunk);
     return true;
   }
 
-  // v2 payload: the pooled arrays, validated wholesale (per-sketch CSR
-  // consistency, sorted vertex arrays, in-range edge ids).
+  // v2 payload: the pooled arrays, validated wholesale (bounds of the
+  // flat layout, then each sketch).
   static bool ReadRrPoolV2(BinaryReader* reader, uint64_t num_sketches,
                            uint64_t max_vertices, uint64_t max_edges,
                            RrSketchPool::Flat* flat, IndexIoError* error) {
@@ -324,14 +439,13 @@ class IndexIo {
     for (uint64_t j = 0; j < num_edges; ++j) {
       RRLocalEdge edge;
       if (!reader->ReadU32(&edge.head_local) || !reader->ReadU32(&edge.edge) ||
-          !reader->ReadF32(&edge.threshold) || edge.edge >= max_edges) {
+          !reader->ReadF32(&edge.threshold)) {
         SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
         return false;
       }
       flat->edges.push_back(edge);
     }
 
-    // Structural validation of the CSR-of-CSRs.
     if (flat->vertex_starts.front() != 0 ||
         flat->vertex_starts.back() != flat->vertices.size() ||
         flat->edge_starts.front() != 0 ||
@@ -350,46 +464,11 @@ class IndexIo {
         SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch bounds");
         return false;
       }
-      const uint64_t n = ve - vb;
-      const uint64_t m = ee - eb;
-      if (n == 0 || n > max_vertices) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex count");
-        return false;
-      }
-      // Vertices sorted strictly ascending and in range (LocalIndex
-      // binary-searches them); root must be a member.
-      for (uint64_t j = vb; j < ve; ++j) {
-        if (flat->vertices[j] >= max_vertices ||
-            (j > vb && flat->vertices[j] <= flat->vertices[j - 1])) {
-          SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex array");
-          return false;
-        }
-      }
-      if (!std::binary_search(flat->vertices.begin() + vb,
-                              flat->vertices.begin() + ve,
-                              flat->roots[i])) {
-        SetError(error, IndexIoCode::kCorruptPayload, "sketch root not a sketch member");
-        return false;
-      }
-      // Local CSR: starts at 0, non-decreasing, ends at the edge count;
-      // edge heads stay inside the sketch.
-      const uint64_t ob = vb + i;
-      if (flat->offsets[ob] != 0 || flat->offsets[ob + n] != m) {
-        SetError(error, IndexIoCode::kCorruptPayload, "inconsistent sketch CSR offsets");
-        return false;
-      }
-      for (uint64_t j = 0; j < n; ++j) {
-        if (flat->offsets[ob + j] > flat->offsets[ob + j + 1]) {
-          SetError(error, IndexIoCode::kCorruptPayload, "non-monotone sketch CSR offsets");
-          return false;
-        }
-      }
-      for (uint64_t j = eb; j < ee; ++j) {
-        if (flat->edges[j].head_local >= n) {
-          SetError(error, IndexIoCode::kCorruptPayload, "sketch edge head out of range");
-          return false;
-        }
-      }
+      const RRView rr{flat->roots[i],
+                      {flat->vertices.data() + vb, ve - vb},
+                      {flat->offsets.data() + vb + i, ve - vb + 1},
+                      {flat->edges.data() + eb, ee - eb}};
+      if (!ValidateSketch(rr, max_vertices, max_edges, error)) return false;
     }
     return true;
   }
@@ -419,7 +498,7 @@ class IndexIo {
                "fault injected: index_io/load");
       return nullptr;
     }
-    BinaryReader reader(&in);
+    BinaryReader reader(&in, std::nullopt);
     auto index = ReadRrBody(network, &reader, error);
     if (index == nullptr) UpgradeTornWrite(reader, error);
     return index;
@@ -431,13 +510,13 @@ class IndexIo {
     BinaryReader& reader = *reader_ptr;
     RrIndexOptions options;
     uint32_t version = 0;
-    if (!ReadHeader(&reader, kKindRrGraphs, NetworkFingerprint(network),
-                    &options, &version, error)) {
+    if (!ReadHeader(&reader, kKindRrGraphs, network, &options, &version,
+                    error)) {
       return nullptr;
     }
-    uint64_t theta = 0, num_graphs = 0;
-    if (!reader.ReadU64(&theta) || !reader.ReadU64(&num_graphs) ||
-        num_graphs > theta) {
+    uint64_t theta = 0, num_sketches = 0;
+    if (!reader.ReadU64(&theta) || !reader.ReadU64(&num_sketches) ||
+        num_sketches > theta) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt index payload header");
       return nullptr;
     }
@@ -446,17 +525,24 @@ class IndexIo {
     const uint64_t max_vertices = network.num_vertices();
     const uint64_t max_edges = network.num_edges();
 
-    std::vector<RRGraph> staging;  // v1 only
-    RrSketchPool::Flat flat;       // v2 only
-    if (version == kVersionV1) {
-      if (!ReadRrGraphsV1(&reader, num_graphs, max_vertices, max_edges,
-                          &staging, error)) {
+    RrSketchPool::Flat flat;                                // v2 only
+    std::vector<std::shared_ptr<const SketchChunk>> chunks;  // v3 only
+    if (version == kVersionV2) {
+      if (!ReadRrPoolV2(&reader, num_sketches, max_vertices, max_edges,
+                        &flat, error)) {
         return nullptr;
       }
     } else {
-      if (!ReadRrPoolV2(&reader, num_graphs, max_vertices, max_edges,
-                        &flat, error)) {
-        return nullptr;
+      // Chunks are appended as their records parse (no reserve from the
+      // untrusted count).
+      constexpr uint64_t kPerChunk = RrSketchPool::kSketchesPerChunk;
+      for (uint64_t first = 0; first < num_sketches; first += kPerChunk) {
+        if (!ReadSketchChunkV3(&reader,
+                               std::min(kPerChunk, num_sketches - first),
+                               max_vertices, max_edges,
+                               &chunks.emplace_back(), error)) {
+          return nullptr;
+        }
       }
     }
     if (!reader.ReadF64(&index->build_seconds_)) {
@@ -469,13 +555,13 @@ class IndexIo {
                "checksum mismatch: file truncated or corrupted");
       return nullptr;
     }
-    if (version == kVersionV1) {
-      index->pool_ = RrSketchPool::Pack(staging, network.num_vertices());
-    } else {
-      // The containing index is a permutation of the vertex array:
-      // cheaper to recompute than to store.
-      index->pool_ = RrSketchPool::FromFlat(flat, network.num_vertices());
-    }
+    // The containing index is a permutation of the vertex arrays:
+    // cheaper to recompute than to store.
+    index->pool_ =
+        version == kVersionV2
+            ? RrSketchPool::FromFlat(flat, network.num_vertices())
+            : RrSketchPool::FromSketchChunks(std::move(chunks), num_sketches,
+                                             network.num_vertices());
     index->built_ = true;
     return index;
   }
@@ -492,7 +578,7 @@ class IndexIo {
                "index not built; call Build() before saving");
       return false;
     }
-    BinaryWriter writer(&out);
+    BinaryWriter writer(&out, Checksum::kHash64);
     WriteHeader(&writer, kKindDelayMat,
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
@@ -514,7 +600,7 @@ class IndexIo {
                "fault injected: index_io/load");
       return nullptr;
     }
-    BinaryReader reader(&in);
+    BinaryReader reader(&in, std::nullopt);
     auto index = ReadDelayBody(network, &reader, error);
     if (index == nullptr) UpgradeTornWrite(reader, error);
     return index;
@@ -525,9 +611,9 @@ class IndexIo {
       IndexIoError* error) {
     BinaryReader& reader = *reader_ptr;
     RrIndexOptions options;
-    uint32_t version = 0;  // DelayMat payload is identical in v1 and v2
-    if (!ReadHeader(&reader, kKindDelayMat, NetworkFingerprint(network),
-                    &options, &version, error)) {
+    uint32_t version = 0;  // the DelayMat payload is the same in v2 and v3
+    if (!ReadHeader(&reader, kKindDelayMat, network, &options, &version,
+                    error)) {
       return nullptr;
     }
     uint64_t theta = 0;
@@ -635,14 +721,14 @@ bool SaveAtomically(const std::string& path, IndexIoError* error,
 // --- typed overloads (primary implementations) ---
 
 bool SaveRrIndex(const RrIndex& index, std::ostream& out,
-                 IndexIoError* error) {
-  return IndexIo::WriteRr(index, out, error);
+                 IndexIoError* error, uint64_t* bytes_hashed) {
+  return IndexIo::WriteRr(index, out, bytes_hashed, error);
 }
 
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 IndexIoError* error) {
+                 IndexIoError* error, uint64_t* bytes_hashed) {
   return SaveAtomically(path, error, [&](std::ostream& out) {
-    return IndexIo::WriteRr(index, out, error);
+    return IndexIo::WriteRr(index, out, bytes_hashed, error);
   });
 }
 

@@ -11,19 +11,38 @@
 // File format (binary little-endian, src/util/serialize.h):
 //
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
-//   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
+//   options (eps f64, delta f64, cap_k u64, seed u64) | payload | checksum
 //
-// Version 2 (current) stores the RR-Graph payload as the pooled
-// CSR-of-CSRs arrays of RrSketchPool — written and loaded in bulk.
-// Version 1 stored one record per graph; v1 files are still readable
-// (graphs are re-packed into a pool on load). The DelayMat payload is
-// identical in both versions.
+// Version 3 (current) is chunk-major. The RR-Graph payload is theta u64,
+// the sketch count u64, then one record per RrSketchPool sketch chunk
+// (256 sketches, the last chunk the rest):
+//
+//   count u64 | roots u32[count] | vertex_starts[1..count] u64
+//   edge_starts[1..count] u64 | vertices u32[V] | offsets u32[V + count]
+//   edges (head_local u32, edge u32, threshold f32)[E] | digest u64
+//
+// and a trailing build time f64. The record bytes are the chunk's
+// arrays (on little-endian hosts, its memory), so the writer streams
+// them without encoding; `digest` is the Hash64 of the record, cached in
+// the chunk, so a chunk shared by successive snapshots is hashed once.
+// The file checksum is the Hash64 of every byte outside the records,
+// the chunk digests included. The reader recomputes each chunk's digest
+// from the bytes it reads, so truncation and bit flips anywhere are
+// still rejected.
+//
+// Version 2 stored the RR-Graph payload as one flat CSR-of-CSRs under a
+// byte-serial FNV-1a checksum and the byte-serial FNV-1a fingerprint.
+// v2 files stay readable: that fingerprint and checksum are computed
+// only when the header says version 2. The DelayMat payload (theta u64,
+// counters, build time) is the same in both versions.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,
 // or influence entries) is rejected, because RR-Graphs reference global
 // EdgeIds and are meaningless — and silently wrong — on any other graph.
-// A trailing FNV-1a checksum rejects truncated or corrupted files.
+// In v3 it is composed (NetworkFingerprint): a fold of the topology
+// digest, the per-chunk edge-topic digests and the topic model, each
+// chunk digest cached in its immutable chunk.
 //
 // IndexEst+ needs no file of its own: PrunedRrIndex derives its edge-cut
 // filters lazily from a (possibly loaded) RrIndex.
@@ -41,11 +60,18 @@
 
 namespace pitex {
 
+/// The format version SaveRrIndex / SaveDelayMatIndex write.
+inline constexpr uint32_t kIndexFormatVersion = 3;
+
 /// Deterministic fingerprint of the network's topology and influence
 /// model; indexes are only loadable against the network they were built
 /// from. Tag names are excluded (renaming a tag does not invalidate
-/// sampled RR-Graphs).
-uint64_t NetworkFingerprint(const SocialNetwork& network);
+/// sampled RR-Graphs). A Hash64 fold of Graph::TopologyDigest,
+/// InfluenceGraph::Digest and the topic model, so it re-hashes only the
+/// chunks no earlier call hashed; those bytes are added to
+/// `*bytes_hashed` (when non-null).
+uint64_t NetworkFingerprint(const SocialNetwork& network,
+                            uint64_t* bytes_hashed = nullptr);
 
 /// Failure taxonomy for index persistence. A free-form string tells a
 /// human what went wrong; the code tells a *program* what to do about it
@@ -112,22 +138,27 @@ struct IndexIoError {
 /// Writes a built RR-Graph index. Returns false (and sets `*error` when
 /// non-null) on I/O failure or when the index is not built. The
 /// std::string overloads report just the message; the IndexIoError
-/// overloads add the typed code. The path overloads are crash-atomic:
-/// the payload goes to `path + ".tmp"`, is fsynced, and is renamed over
-/// `path` (src/util/file_sync.h) -- a crash mid-save leaves the old
-/// file intact and never a torn file at the final path.
+/// overloads add the typed code, and add to `*bytes_hashed` (when
+/// non-null) the bytes folded into fresh digests: sketch chunks and
+/// network chunks that no earlier save or fingerprint hashed. The path
+/// overloads are crash-atomic: the payload goes to `path + ".tmp"`, is
+/// fsynced, and is renamed over `path` (src/util/file_sync.h) -- a
+/// crash mid-save leaves the old file intact and never a torn file at
+/// the final path.
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
                  std::string* error = nullptr);
 bool SaveRrIndex(const RrIndex& index, std::ostream& out,
                  std::string* error = nullptr);
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 IndexIoError* error);
+                 IndexIoError* error, uint64_t* bytes_hashed = nullptr);
 bool SaveRrIndex(const RrIndex& index, std::ostream& out,
-                 IndexIoError* error);
+                 IndexIoError* error, uint64_t* bytes_hashed = nullptr);
 
-/// Loads an RR-Graph index previously written by SaveRrIndex. `network`
-/// must be the network the index was built from (checked via
-/// fingerprint). Returns nullptr and sets `*error` on failure.
+/// Loads an RR-Graph index previously written by SaveRrIndex (format v3,
+/// or v2 from older builds). `network` must be the network the index was
+/// built from (checked via fingerprint). Returns nullptr and sets
+/// `*error` on failure. A v3 load leaves each chunk's digest set, so
+/// saving the loaded index again re-hashes none of them.
 std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
                                      const std::string& path,
                                      std::string* error = nullptr);

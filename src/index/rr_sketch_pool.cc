@@ -118,6 +118,19 @@ RrSketchPool RrSketchPool::FromFlat(const Flat& flat, size_t num_vertices) {
   });
 }
 
+RrSketchPool RrSketchPool::FromSketchChunks(
+    std::vector<std::shared_ptr<const SketchChunk>> chunks,
+    size_t num_sketches, size_t num_vertices) {
+  PITEX_CHECK(chunks.size() == SketchChunks(num_sketches));
+  RrSketchPool out;
+  out.num_sketches_ = num_sketches;
+  out.num_vertices_ = num_vertices;
+  out.sketch_chunks_ = std::move(chunks);
+  out.BuildContaining();
+  out.Summarize();
+  return out;
+}
+
 RrSketchPool RrSketchPool::Repack(
     const RrSketchPool& base, std::span<const RRGraph> graphs,
     std::span<const std::vector<uint32_t>> containing,

@@ -27,6 +27,12 @@
 // DynamicRrIndex keeps the chunks it packed last and re-packs only the
 // ones a repair dirtied (Repack), so a publish copies the chunks its
 // batch changed and shares the rest with the previous snapshot.
+//
+// A sketch chunk is also the unit of persistence: index format v3
+// (src/index/index_io.h) stores each one as a record of its arrays, and
+// the chunk caches the Hash64 digest of that record the first time it
+// is saved (or sets it when loaded), so a checkpoint re-hashes only the
+// chunks built since the last one.
 
 #ifndef PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
 #define PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
@@ -40,6 +46,7 @@
 
 #include "src/index/rr_graph.h"
 #include "src/index/sketch_arena.h"
+#include "src/util/serialize.h"
 #include "src/util/thread_pool.h"
 
 namespace pitex {
@@ -156,7 +163,38 @@ class RrSketchPool {
     std::array<VertexId, kSketchesPerChunk> roots{};
     std::array<uint64_t, kSketchesPerChunk + 1> vertex_starts{};  // from 0
     std::array<uint64_t, kSketchesPerChunk + 1> edge_starts{};    // from 0
+    CachedDigest digest;  // of Encode's bytes
     size_t SizeBytes() const;
+
+    /// The chunk as one index-v3 record, little-endian, passed to
+    /// sink(const void*, size_t) in order: num_sketches u64, roots u32,
+    /// vertex_starts[1..] u64, edge_starts[1..] u64, vertices u32,
+    /// offsets u32, edges (head_local u32, edge u32, threshold f32).
+    /// On little-endian hosts every array is its in-memory bytes.
+    template <typename Sink>
+    void Encode(Sink&& sink) const {
+      static_assert(sizeof(RRLocalEdge) == 12 && sizeof(float) == 4,
+                    "RRLocalEdge must be three unpadded 4-byte fields");
+      const uint64_t count = num_sketches;
+      EmitLittleEndian<8>(&count, sizeof(count), sink);
+      EmitLittleEndian<4>(roots.data(), count * sizeof(VertexId), sink);
+      EmitLittleEndian<8>(vertex_starts.data() + 1, count * 8, sink);
+      EmitLittleEndian<8>(edge_starts.data() + 1, count * 8, sink);
+      EmitLittleEndian<4>(vertices.data(), vertices.size() * 4, sink);
+      EmitLittleEndian<4>(offsets.data(), offsets.size() * 4, sink);
+      EmitLittleEndian<4>(edges.data(), edges.size() * 12, sink);
+    }
+    /// Hash64 of Encode's bytes: hashed on first use, cached after. The
+    /// bytes hashed are added to `*bytes_hashed` (when non-null).
+    uint64_t Digest(uint64_t* bytes_hashed) const {
+      return digest.Get(
+          [this](Hash64* h) {
+            Encode([h](const void* data, size_t size) {
+              h->Update(data, size);
+            });
+          },
+          bytes_hashed);
+    }
   };
   struct ContainingChunk {
     std::vector<uint32_t> ids;  // sketch ids, CSR by vertex
@@ -173,8 +211,13 @@ class RrSketchPool {
     std::vector<uint64_t> edge_starts;
     std::vector<RRLocalEdge> edges;
   };
-  /// Chunks a validated flat layout (the loader's path).
+  /// Chunks a validated flat layout (the v2 loader's path).
   static RrSketchPool FromFlat(const Flat& flat, size_t num_vertices);
+  /// A pool over validated sketch chunks (the v3 loader's path): every
+  /// chunk holds kSketchesPerChunk sketches but the last.
+  static RrSketchPool FromSketchChunks(
+      std::vector<std::shared_ptr<const SketchChunk>> chunks,
+      size_t num_sketches, size_t num_vertices);
 
   /// Packs sketches [first, last), sketch i read through view_of(i).
   template <typename ViewOf>

@@ -1,6 +1,7 @@
 #include "src/model/influence_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/util/check.h"
@@ -64,6 +65,44 @@ double InfluenceGraph::EdgeProb(EdgeId e, const TopicPosterior& posterior) const
 
 size_t InfluenceGraph::Chunk::SizeBytes() const {
   return sizeof(Chunk) + entries.size() * sizeof(EdgeTopicEntry);
+}
+
+uint64_t InfluenceGraph::Chunk::Digest(uint64_t* bytes_hashed) const {
+  return digest.Get(
+      [this](Hash64* h) {
+        h->UpdateU64(num_edges);
+        EmitLittleEndian<4>(
+            offsets.data() + 1, num_edges * sizeof(uint32_t),
+            [h](const void* data, size_t size) { h->Update(data, size); });
+        // Entries carry padding, so encode (topic u32, prob bits u64)
+        // records into a block and hash the block.
+        constexpr size_t kRecord = 12;
+        unsigned char block[kRecord * 256];
+        size_t used = 0;
+        for (const EdgeTopicEntry& entry : entries) {
+          const uint64_t bits = std::bit_cast<uint64_t>(entry.prob);
+          for (size_t i = 0; i < 4; ++i) {
+            block[used + i] = static_cast<unsigned char>(entry.topic >> (8 * i));
+          }
+          for (size_t i = 0; i < 8; ++i) {
+            block[used + 4 + i] = static_cast<unsigned char>(bits >> (8 * i));
+          }
+          used += kRecord;
+          if (used == sizeof(block)) {
+            h->Update(block, used);
+            used = 0;
+          }
+        }
+        h->Update(block, used);
+      },
+      bytes_hashed);
+}
+
+uint64_t InfluenceGraph::Digest(uint64_t* bytes_hashed) const {
+  Hash64 h;
+  h.UpdateU64(num_edges_);
+  for (const auto& chunk : chunks_) h.UpdateU64(chunk->Digest(bytes_hashed));
+  return h.digest();
 }
 
 void InfluenceGraph::AppendEdge(std::span<const EdgeTopicEntry> entries,

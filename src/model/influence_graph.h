@@ -10,7 +10,9 @@
 // consecutive EdgeIds. A batch fold (ReplaceEdgeTopics) rebuilds only
 // the chunks holding a replaced edge and shares every other chunk with
 // its input, so the dynamic index's master and each published snapshot
-// hold one copy of the unchanged edges between them.
+// hold one copy of the unchanged edges between them. Each chunk caches
+// its digest, so Digest() (and NetworkFingerprint over it) hashes only
+// the chunks built since they were last fingerprinted.
 //
 // The SocialNetwork aggregate bundles the graph topology, the topic model
 // and the influence probabilities — the triple every PITEX algorithm
@@ -29,6 +31,7 @@
 
 #include "src/graph/graph.h"
 #include "src/model/topic_model.h"
+#include "src/util/serialize.h"
 
 namespace pitex {
 
@@ -76,6 +79,12 @@ class InfluenceGraph {
     return chunks_[e / kChunkEdges]->max_prob[e % kChunkEdges];
   }
 
+  /// Hash64 digest of every edge's topic vector: a fold of per-chunk
+  /// digests, each hashed on first use and cached in its (shared,
+  /// immutable) chunk. Adds the bytes it hashes to `*bytes_hashed` (when
+  /// non-null).
+  uint64_t Digest(uint64_t* bytes_hashed = nullptr) const;
+
   /// Bytes of every chunk (shared or not).
   size_t SizeBytes() const;
   /// Bytes of the chunks `other` does not share with this table.
@@ -94,7 +103,9 @@ class InfluenceGraph {
     std::array<uint32_t, kChunkEdges + 1> offsets{};  // local CSR
     std::array<double, kChunkEdges> max_prob{};
     std::vector<EdgeTopicEntry> entries;
+    CachedDigest digest;
     size_t SizeBytes() const;
+    uint64_t Digest(uint64_t* bytes_hashed) const;
   };
 
   /// Appends one edge's (validated) entries to `chunk`.

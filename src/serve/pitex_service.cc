@@ -118,6 +118,12 @@ void PitexService::RegisterMetrics() {
       "published snapshot does not share with the one it replaced",
       {4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864,
        268435456});
+  m_.checkpoint_bytes_hashed = metrics_.RegisterHistogram(
+      "pitex_checkpoint_bytes_hashed",
+      "Bytes a checkpoint folded into fresh chunk digests (sketch, "
+      "edge-topic and topology chunks built since the last checkpoint)",
+      {0, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864,
+       268435456});
   m_.cache_entries = metrics_.RegisterGauge(
       "pitex_cache_entries", "Result-cache entries currently resident");
   m_.cache_insertions = metrics_.RegisterGauge(
@@ -950,8 +956,9 @@ void PitexService::MaybeCheckpointLocked(const IndexSnapshot& snapshot) {
     update.entries.assign(entries.begin(), entries.end());
     manifest.model_delta.push_back(std::move(update));
   }
+  uint64_t bytes_hashed = 0;
   if (!WriteCheckpoint(options_.durability_dir, *snapshot.rr_index(),
-                       manifest)) {
+                       manifest, nullptr, &bytes_hashed)) {
     // Non-fatal: the previous checkpoint (or the full log) still
     // recovers everything. The counter stays >= the cadence, so the
     // next publish retries.
@@ -961,6 +968,7 @@ void PitexService::MaybeCheckpointLocked(const IndexSnapshot& snapshot) {
   }
   publishes_since_checkpoint_ = 0;
   m_.checkpoints->Inc();
+  m_.checkpoint_bytes_hashed->Observe(static_cast<double>(bytes_hashed));
   journal_.Record(obs::EventKind::kCheckpoint, manifest.lsn, manifest.epoch);
   wal_->TruncateThrough(manifest.lsn);
 }

@@ -393,6 +393,7 @@ class PitexService {
     obs::Histogram* sojourn = nullptr;
     obs::Histogram* publish_dirty_users = nullptr;
     obs::Histogram* publish_bytes_copied = nullptr;
+    obs::Histogram* checkpoint_bytes_hashed = nullptr;
     // Derived gauges, written only by CollectDerivedMetrics().
     obs::Gauge* cache_entries = nullptr;
     obs::Gauge* cache_insertions = nullptr;

@@ -5,8 +5,8 @@
 // directory:
 //
 //   checkpoint-<lsn, 16 hex>.rridx — the published snapshot's RrIndex,
-//     saved through index_io (temp file + fsync + rename), carrying the
-//     NetworkFingerprint of the *evolved* influence model;
+//     saved through index_io in format v3 (temp file + fsync + rename),
+//     carrying the NetworkFingerprint of the *evolved* influence model;
 //   CHECKPOINT — the manifest: {snapshot filename, last-applied LSN,
 //     epoch, DynamicRrIndex version counter, model delta}, checksummed
 //     and atomically replaced, so the newest valid checkpoint is always
@@ -29,6 +29,20 @@
 // replaying records in LSN order from the restored version counter
 // re-draws exactly the coins the crashed process drew: the recovered
 // master is bit-identical to a never-crashed reference.
+//
+// A checkpoint costs CPU in proportion to what changed since the last
+// one, not to the index. The snapshot file is chunk-major (index format
+// v3, src/index/index_io.h): each sketch chunk is a record whose digest
+// the immutable chunk caches, and the fingerprint is a fold of the
+// topology digest and per-chunk edge-topic digests, cached the same
+// way. Snapshots share every chunk a publish left alone, so a checkpoint
+// hashes only the chunks built since the previous one
+// (pitex_checkpoint_bytes_hashed) and streams the rest from memory. The
+// cache lives in the chunks, not in the service, so any caller of
+// WriteCheckpoint gets it. Checkpoints written before format v3 (v2
+// snapshot files) still recover: the reader checks them with the
+// byte-serial fingerprint and checksum they were written with, and the
+// next checkpoint writes v3.
 //
 // Fail points: "checkpoint/rename" (between manifest staging and its
 // atomic publication) and "recovery/replay" (before each replayed
@@ -80,10 +94,14 @@ bool ReadCheckpointManifest(const std::string& dir,
 /// Full checkpoint: saves `snapshot_index` crash-atomically as the
 /// manifest's snapshot file, publishes the manifest, then deletes
 /// superseded checkpoint files. On failure the previous checkpoint
-/// remains fully intact and authoritative.
+/// remains fully intact and authoritative. Adds to `*bytes_hashed`
+/// (when non-null) the bytes folded into fresh chunk digests: the
+/// sketch, edge-topic and topology chunks built since an earlier
+/// checkpoint last hashed them (0 when nothing was published since).
 bool WriteCheckpoint(const std::string& dir, const RrIndex& snapshot_index,
                      const CheckpointManifest& manifest,
-                     std::string* error = nullptr);
+                     std::string* error = nullptr,
+                     uint64_t* bytes_hashed = nullptr);
 
 /// Everything a restarting service needs from disk.
 struct RecoveredState {

@@ -145,7 +145,9 @@ class IndexSnapshotRegistry {
   /// Atomically makes `snapshot` the version new queries are served
   /// from. Its epoch must exceed the current one. In-flight readers of
   /// older snapshots are unaffected; the displaced snapshot is retired
-  /// and reclaimed when its last reader unpins it.
+  /// and reclaimed when its last reader unpins it -- when no reader
+  /// pins it, before Publish returns, but after the lock is released.
+  /// Expired observers of retired epochs are pruned on every publish.
   void Publish(std::shared_ptr<const IndexSnapshot> snapshot)
       PITEX_EXCLUDES(mutex_);
 
@@ -162,6 +164,8 @@ class IndexSnapshotRegistry {
   size_t AliveSnapshots() PITEX_EXCLUDES(mutex_);
 
  private:
+  void PruneRetiredLocked() PITEX_REQUIRES(mutex_);
+
   mutable Mutex mutex_;
   std::shared_ptr<const IndexSnapshot> current_ PITEX_GUARDED_BY(mutex_);
   std::vector<std::weak_ptr<const IndexSnapshot>> retired_

@@ -34,10 +34,76 @@ uint64_t DecodeLe(const unsigned char* buf, size_t width) {
   return value;
 }
 
+uint64_t LoadLe64(const unsigned char* bytes) {
+  if constexpr (std::endian::native == std::endian::little) {
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    return word;
+  }
+  return DecodeLe(bytes, 8);
+}
+
+// The murmur3 finalizer: every output bit depends on every input bit.
+uint64_t Avalanche(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 }  // namespace
 
+void Hash64::Update(const void* data, size_t size) {
+  if (size == 0) return;
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  size_t fill = length_ % 8;
+  length_ += size;
+  if (fill != 0) {
+    while (fill < 8 && size > 0) {
+      pending_ |= static_cast<uint64_t>(*bytes++) << (8 * fill++);
+      --size;
+    }
+    if (fill < 8) return;
+    state_ = Mix(state_, pending_);
+    pending_ = 0;
+  }
+  uint64_t h = state_;
+  for (; size >= 8; size -= 8, bytes += 8) h = Mix(h, LoadLe64(bytes));
+  state_ = h;
+  for (size_t i = 0; i < size; ++i) {
+    pending_ |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+  }
+}
+
+void Hash64::UpdateU64(uint64_t value) {
+  if (length_ % 8 == 0) {
+    state_ = Mix(state_, value);
+    length_ += 8;
+    return;
+  }
+  unsigned char bytes[8];
+  EncodeLe(value, 8, bytes);
+  Update(bytes, 8);
+}
+
+uint64_t Hash64::digest() const {
+  uint64_t h = state_;
+  if (length_ % 8 != 0) h = Mix(h, pending_);
+  return Avalanche(h ^ length_);
+}
+
 void BinaryWriter::WriteBytes(const void* data, size_t size) {
-  hash_.Update(data, size);
+  if (checksum_ == Checksum::kFnv1a) {
+    fnv_.Update(data, size);
+  } else {
+    hash64_.Update(data, size);
+  }
+  WriteUnhashed(data, size);
+}
+
+void BinaryWriter::WriteUnhashed(const void* data, size_t size) {
   out_->write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
 }
 
@@ -69,22 +135,27 @@ void BinaryWriter::WriteString(std::string_view value) {
 }
 
 void BinaryWriter::WriteChecksum() {
-  const uint64_t digest = hash_.digest();
   unsigned char buf[8];
-  EncodeLe(digest, 8, buf);
+  EncodeLe(digest(), 8, buf);
   out_->write(reinterpret_cast<const char*>(buf), 8);
 }
 
 bool BinaryWriter::ok() const { return static_cast<bool>(*out_); }
 
 bool BinaryReader::ReadBytes(void* data, size_t size) {
+  if (!ReadUnhashed(data, size)) return false;
+  if (use_fnv_) fnv_.Update(data, size);
+  if (use_hash64_) hash64_.Update(data, size);
+  return true;
+}
+
+bool BinaryReader::ReadUnhashed(void* data, size_t size) {
   if (failed_) return false;
   in_->read(static_cast<char*>(data), static_cast<std::streamsize>(size));
   if (static_cast<size_t>(in_->gcount()) != size) {
     failed_ = true;
     return false;
   }
-  hash_.Update(data, size);
   return true;
 }
 
@@ -135,8 +206,9 @@ bool BinaryReader::ReadString(std::string* value) {
 }
 
 bool BinaryReader::VerifyChecksum() {
-  if (failed_) return false;
-  const uint64_t expected = hash_.digest();  // digest before consuming it
+  if (failed_ || use_fnv_ == use_hash64_) return false;
+  // The digest before consuming the trailer.
+  const uint64_t expected = use_fnv_ ? fnv_.digest() : hash64_.digest();
   unsigned char buf[8];
   in_->read(reinterpret_cast<char*>(buf), 8);
   if (in_->gcount() != 8) {

@@ -6,14 +6,17 @@
 // and deleted topic vectors, around a publish whose freeze fails) each
 // snapshot must equal a from-scratch RrSketchPool::Pack of the master's
 // sketches in every read (views, containing lists, max sketch size, the
-// serialized checkpoint bytes) and its edge topics must equal a flat
+// serialized checkpoint bytes, whose chunk digests are cached in the
+// shared chunks) and its edge topics and their digest must equal a flat
 // reference fold. Snapshots still pinned must read exactly as they did
-// when published, including while a writer keeps publishing.
+// when published, including while a writer keeps publishing. A
+// checkpoint hashes only the chunks built since the previous one.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +28,8 @@
 #include "src/index/index_io.h"
 #include "src/index/rr_index.h"
 #include "src/index/rr_sketch_pool.h"
+#include "src/serve/pitex_service.h"
+#include "src/serve/recovery.h"
 #include "src/serve/snapshot_registry.h"
 #include "src/util/failpoint.h"
 #include "src/util/random.h"
@@ -198,6 +203,13 @@ void ExpectMatchesFullPack(const IndexSnapshot& snapshot,
 
   const InfluenceGraph& influence = snapshot.network().influence;
   ASSERT_EQ(influence.num_edges(), reference.topics.size());
+  // The edge-topic digest (cached in shared chunks) equals that of the
+  // reference fold built from scratch.
+  InfluenceGraphBuilder rebuilt(reference.topics.size());
+  for (EdgeId e = 0; e < reference.topics.size(); ++e) {
+    rebuilt.SetEdgeTopics(e, reference.topics[e]);
+  }
+  EXPECT_EQ(influence.Digest(), rebuilt.Build().Digest());
   for (EdgeId e = 0; e < influence.num_edges(); ++e) {
     const auto entries = influence.EdgeTopics(e);
     const auto& want = reference.topics[e];
@@ -344,6 +356,96 @@ TEST(ChunkedPublishTest, BatchThatRepairsNothingCopiesOnlyItsEdgeChunk) {
   // A publish with nothing new copies nothing.
   EXPECT_EQ(IndexSnapshot::FromDynamic(master, 3, second.get())->bytes_copied(),
             0u);
+}
+
+TEST(ChunkedPublishTest, CheckpointHashesOnlyChunksBuiltSinceTheLastOne) {
+  const SocialNetwork n = MakeNetwork();
+  DynamicRrIndex master(n, Options());
+  master.Build();
+  const std::string dir = ::testing::TempDir() + "/pitex_chunked_checkpoint";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto checkpoint = [&](const IndexSnapshot& snapshot) {
+    CheckpointManifest manifest;
+    manifest.lsn = snapshot.epoch();
+    manifest.epoch = snapshot.epoch();
+    manifest.snapshot_file =
+        "checkpoint-" + std::to_string(snapshot.epoch()) + ".rridx";
+    uint64_t hashed = 0;
+    std::string error;
+    EXPECT_TRUE(WriteCheckpoint(dir, *snapshot.rr_index(), manifest, &error,
+                                &hashed))
+        << error;
+    return hashed;
+  };
+
+  const auto first = IndexSnapshot::FromDynamic(master, 1);
+  master.ClearDirtyVertices();
+  const uint64_t full = checkpoint(*first);
+  const RrSketchPool& pool = first->rr_index()->pool();
+  EXPECT_GT(full, pool.total_vertices() * 4 + pool.total_edges() * 12);
+  // Nothing published since: no chunk is hashed again.
+  EXPECT_EQ(checkpoint(*first), 0u);
+
+  // A batch that repairs no sketch rebuilds one edge-topic chunk, the
+  // only chunk the next checkpoint hashes.
+  EdgeId e = 0;
+  while (e < n.num_edges() && !master.Containing(n.graph.Head(e)).empty()) ++e;
+  ASSERT_LT(e, n.num_edges());
+  EdgeInfluenceUpdate update;
+  update.edge = e;
+  update.entries = {{0, 0.5}};
+  master.ApplyUpdates(std::span(&update, 1));
+  const auto second = IndexSnapshot::FromDynamic(master, 2, first.get());
+  const uint64_t one_chunk = checkpoint(*second);
+  EXPECT_GT(one_chunk, 0u);
+  EXPECT_LT(one_chunk, full / 8);
+
+  // The checkpoint loads against the evolved network.
+  IndexIoError error;
+  EXPECT_NE(LoadRrIndex(master.network(), dir + "/checkpoint-2.rridx", &error),
+            nullptr)
+      << error.message;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ChunkedPublishTest, ServiceExportsTheBytesEachCheckpointHashed) {
+  const SocialNetwork n = MakeNetwork();
+  const std::string dir = ::testing::TempDir() + "/pitex_chunked_service";
+  std::filesystem::remove_all(dir);
+  ServeOptions options;
+  options.engine.method = Method::kIndexEst;
+  options.engine.index_theta_per_vertex = 2.5;
+  options.num_threads = 1;
+  options.enable_updates = true;
+  options.durability_dir = dir;
+  options.checkpoint_every = 1;
+  std::vector<double> observed;  // bytes hashed per checkpoint
+  double previous_sum = 0.0;
+  {
+    PitexService service(&n, options);
+    service.Start();
+    Rng rng(5);
+    for (int round = 0; round < 3; ++round) {
+      const auto batch = MakeBatch(n, Hubs(n), false, 1, &rng);
+      ASSERT_NE(service.ApplyUpdates(batch), 0u);
+      const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+      const obs::MetricValue* hist =
+          snap.Find("pitex_checkpoint_bytes_hashed");
+      ASSERT_NE(hist, nullptr);
+      ASSERT_EQ(hist->count, static_cast<uint64_t>(round + 1));
+      observed.push_back(hist->sum - previous_sum);
+      previous_sum = hist->sum;
+    }
+  }
+  // The first checkpoint hashes the whole index and network; each later
+  // one only the chunks its one-edge batch rebuilt.
+  EXPECT_GT(observed[0], 0.0);
+  for (size_t i = 1; i < observed.size(); ++i) {
+    EXPECT_GT(observed[i], 0.0);
+    EXPECT_LT(observed[i], observed[0] / 2) << "checkpoint " << i;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ChunkedPublishTest, PinnedSnapshotReadsStayFixedWhileAWriterPublishes) {

@@ -1,9 +1,9 @@
 // libFuzzer harness for the index persistence layer (PITEX_FUZZ=ON,
 // Clang only). Complements tests/index_io_fuzz_test.cc: that suite
 // replays a fixed budget of random mutations on every CI run, while this
-// harness lets libFuzzer's coverage feedback walk the v1/v2 readers'
-// branch structure -- length prefixes, CSR layout checks, the checksum
-// trailer -- far more systematically.
+// harness lets libFuzzer's coverage feedback walk the v2/v3 readers'
+// branch structure -- length prefixes, chunk records and their digests,
+// CSR layout checks, the checksum trailer -- far more systematically.
 //
 // Contract under test: whatever bytes arrive, LoadRrIndex and
 // LoadDelayMatIndex either return a structurally consistent index or
@@ -11,9 +11,10 @@
 // (enforced with abort() below) is a finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
-// valid v2 index, a hand-assembled v1 index, and a valid DelayMat file
-// there during LLVMFuzzerInitialize -- the fuzzer then starts from real
-// files instead of discovering the magic string byte by byte:
+// valid v3 index, the same file with one chunk digest corrupted, the
+// golden v2 index (tests/data/v2/) and a valid DelayMat file there during
+// LLVMFuzzerInitialize -- the fuzzer then starts from real files instead
+// of discovering the magic string byte by byte:
 //
 //   mkdir -p corpus
 //   PITEX_FUZZ_SEED_DIR=corpus ./index_io_fuzz -max_total_time=30 corpus
@@ -23,16 +24,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "running_example.h"
 #include "src/index/index_io.h"
-#include "src/index/rr_graph.h"
 #include "src/index/rr_index.h"
-#include "src/util/random.h"
-#include "src/util/serialize.h"
 
 namespace pitex {
 namespace {
@@ -49,12 +48,45 @@ RrIndexOptions SeedOptions() {
   return options;
 }
 
-std::string ValidV2Bytes() {
-  RrIndex index(Network(), SeedOptions());
-  index.Build();
+const RrIndex& SeedIndex() {
+  static const RrIndex* index = [] {
+    auto* built = new RrIndex(Network(), SeedOptions());
+    built->Build();
+    return built;
+  }();
+  return *index;
+}
+
+std::string ValidV3Bytes() {
   std::stringstream file;
-  SaveRrIndex(index, file);
+  SaveRrIndex(SeedIndex(), file);
   return file.str();
+}
+
+// The v3 seed with one bit flipped in the stored digest of its only
+// chunk record (theta 64 fits one chunk). The record layout is
+// src/index/index_io.h's: count, roots, two start arrays, vertices,
+// offsets, edges, then the digest.
+std::string CorruptDigestBytes(const std::string& v3) {
+  const RrSketchPool& pool = SeedIndex().pool();
+  const size_t header = 16 + 4 + 1 + 8 + 4 * 8 + 8 + 8;
+  const size_t count = pool.num_sketches();
+  const size_t record = 8 + 4 * count + 2 * 8 * count +
+                        4 * pool.total_vertices() +
+                        4 * (pool.total_vertices() + count) +
+                        12 * pool.total_edges();
+  std::string bytes = v3;
+  bytes[header + record] = static_cast<char>(bytes[header + record] ^ 0x01);
+  return bytes;
+}
+
+// Index format v2 is read-only now: its seed is the golden file an older
+// build wrote.
+std::string GoldenV2Bytes() {
+  std::ifstream in(std::string(PITEX_TEST_DATA_DIR) +
+                       "/v2/running_example.rridx",
+                   std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 std::string ValidDelayBytes() {
@@ -62,47 +94,6 @@ std::string ValidDelayBytes() {
   index.Build();
   std::stringstream file;
   SaveDelayMatIndex(index, file);
-  return file.str();
-}
-
-// The writer only emits the current (v2) format, so the v1 reader seed
-// is assembled by hand: one record per graph, matching IndexIo::
-// ReadRrGraphsV1's expectations byte for byte.
-std::string ValidV1Bytes() {
-  const SocialNetwork& network = Network();
-  const uint64_t theta = 8;
-  Rng rng(7);
-  std::vector<RRGraph> graphs;
-  for (uint64_t i = 0; i < theta; ++i) {
-    graphs.push_back(GenerateRRGraph(
-        network.graph, network.influence,
-        static_cast<VertexId>(i % network.num_vertices()), &rng));
-  }
-  std::stringstream file;
-  BinaryWriter writer(&file);
-  writer.WriteString("PITEXIDX");
-  writer.WriteU32(1);  // version
-  writer.WriteU8(1);   // kind: RR-Graphs
-  writer.WriteU64(NetworkFingerprint(network));
-  writer.WriteF64(0.1);                    // eps
-  writer.WriteF64(0.1);                    // delta
-  writer.WriteU64(0);                      // cap_k
-  writer.WriteU64(SeedOptions().seed);     // seed
-  writer.WriteU64(theta);
-  writer.WriteU64(graphs.size());
-  for (const RRGraph& rr : graphs) {
-    writer.WriteU32(rr.root);
-    writer.WriteVector<VertexId>(rr.vertices);
-    writer.WriteVector<uint32_t>(rr.offsets);
-    writer.WriteU64(rr.edges.size());
-    for (const RRLocalEdge& edge : rr.edges) {
-      writer.WriteU32(edge.head_local);
-      writer.WriteU32(edge.edge);
-      writer.WriteF32(edge.threshold);
-    }
-  }
-  writer.WriteF64(0.0);  // build_seconds
-  writer.WriteChecksum();
   return file.str();
 }
 
@@ -124,19 +115,27 @@ void WriteSeed(const std::string& dir, const char* name,
 
 extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   using namespace pitex;
-  // Self-check: all three seeds must load before any fuzzing starts; a
-  // drifted format would otherwise silently reduce the run to garbage
-  // inputs bouncing off the header checks.
-  const std::string v2 = ValidV2Bytes();
-  const std::string v1 = ValidV1Bytes();
+  // Self-check: the valid seeds must load and the corrupted one must not
+  // before any fuzzing starts; a drifted format would otherwise silently
+  // reduce the run to garbage inputs bouncing off the header checks.
+  const std::string v3 = ValidV3Bytes();
+  const std::string corrupt = CorruptDigestBytes(v3);
+  const std::string v2 = GoldenV2Bytes();
   const std::string delay = ValidDelayBytes();
+  {
+    std::stringstream file(v3);
+    Require(LoadRrIndex(Network(), file) != nullptr, "v3 seed must load");
+  }
+  {
+    std::stringstream file(corrupt);
+    IndexIoError error;
+    Require(LoadRrIndex(Network(), file, &error) == nullptr &&
+                error.code == IndexIoCode::kChecksumMismatch,
+            "corrupted chunk digest must be rejected");
+  }
   {
     std::stringstream file(v2);
     Require(LoadRrIndex(Network(), file) != nullptr, "v2 seed must load");
-  }
-  {
-    std::stringstream file(v1);
-    Require(LoadRrIndex(Network(), file) != nullptr, "v1 seed must load");
   }
   {
     std::stringstream file(delay);
@@ -144,8 +143,9 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
             "DelayMat seed must load");
   }
   if (const char* dir = std::getenv("PITEX_FUZZ_SEED_DIR")) {
+    WriteSeed(dir, "seed_v3.idx", v3);
+    WriteSeed(dir, "seed_v3_corrupt_digest.idx", corrupt);
     WriteSeed(dir, "seed_v2.idx", v2);
-    WriteSeed(dir, "seed_v1.idx", v1);
     WriteSeed(dir, "seed_delay.idx", delay);
   }
   return 0;

@@ -133,89 +133,6 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
   }
 }
 
-// Re-encodes a built index in the legacy v1 format (one record per
-// graph) exactly as the pre-pool writer produced it.
-std::string EncodeAsV1(const RrIndex& index, const SocialNetwork& n,
-                       const RrIndexOptions& options) {
-  std::stringstream out;
-  BinaryWriter writer(&out);
-  writer.WriteString("PITEXIDX");
-  writer.WriteU32(1);  // version 1
-  writer.WriteU8(1);   // kind: RR-Graphs
-  writer.WriteU64(NetworkFingerprint(n));
-  writer.WriteF64(options.eps);
-  writer.WriteF64(options.delta);
-  writer.WriteU64(static_cast<uint64_t>(options.cap_k));
-  writer.WriteU64(options.seed);
-  writer.WriteU64(index.theta());
-  writer.WriteU64(index.num_graphs());
-  for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView rr = index.graph(i);
-    writer.WriteU32(rr.root);
-    writer.WriteVector<VertexId>(rr.vertices);
-    writer.WriteVector<uint32_t>(rr.offsets);
-    writer.WriteU64(rr.edges.size());
-    for (const RRLocalEdge& edge : rr.edges) {
-      writer.WriteU32(edge.head_local);
-      writer.WriteU32(edge.edge);
-      writer.WriteF32(edge.threshold);
-    }
-  }
-  writer.WriteF64(index.build_seconds());
-  writer.WriteChecksum();
-  return out.str();
-}
-
-TEST(IndexIoTest, ReadsVersion1Files) {
-  // Read-compat: a legacy v1 file must load into the pooled index with
-  // identical sketches, containment and estimates.
-  const SocialNetwork n = MakeRunningExample();
-  const RrIndexOptions options = SmallOptions();
-  RrIndex index(n, options);
-  index.Build();
-
-  std::stringstream v1(EncodeAsV1(index, n, options));
-  std::string error;
-  const auto loaded = LoadRrIndex(n, v1, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-
-  ASSERT_EQ(loaded->theta(), index.theta());
-  ASSERT_EQ(loaded->num_graphs(), index.num_graphs());
-  for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView original = index.graph(i);
-    const RRView restored = loaded->graph(i);
-    ASSERT_EQ(restored.root, original.root) << "graph " << i;
-    ASSERT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
-    ASSERT_TRUE(std::ranges::equal(restored.offsets, original.offsets));
-    ASSERT_EQ(restored.edges.size(), original.edges.size());
-  }
-  for (VertexId v = 0; v < n.num_vertices(); ++v) {
-    EXPECT_TRUE(std::ranges::equal(loaded->Containing(v),
-                                   index.Containing(v)));
-  }
-  const TagId tags[] = {2, 3};
-  const auto post = n.topics.Posterior(tags);
-  const PosteriorProbs probs(n.influence, post);
-  for (VertexId u = 0; u < n.num_vertices(); ++u) {
-    EXPECT_EQ(loaded->EstimateInfluence(u, probs).influence,
-              index.EstimateInfluence(u, probs).influence);
-  }
-}
-
-TEST(IndexIoTest, TruncatedVersion1Rejected) {
-  const SocialNetwork n = MakeRunningExample();
-  const RrIndexOptions options = SmallOptions();
-  RrIndex index(n, options);
-  index.Build();
-  const std::string bytes = EncodeAsV1(index, n, options);
-  for (const size_t keep : {bytes.size() - 5, bytes.size() / 2}) {
-    std::stringstream truncated(bytes.substr(0, keep));
-    std::string error;
-    EXPECT_EQ(LoadRrIndex(n, truncated, &error), nullptr)
-        << "kept " << keep << " of " << bytes.size();
-  }
-}
-
 TEST(IndexIoTest, UnbuiltRrIndexRefusesToSave) {
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());  // Build() not called
@@ -288,6 +205,123 @@ TEST(IndexIoTest, PayloadCorruptionRejected) {
   std::stringstream corrupted(bytes);
   std::string error;
   EXPECT_EQ(LoadRrIndex(n, corrupted, &error), nullptr);
+}
+
+TEST(IndexIoTest, EveryByteFlipOfAVersion3FileRejected) {
+  // Header and trailer bytes feed the file checksum, each record's bytes
+  // its chunk digest, and the digests the file checksum: no byte of a v3
+  // file may change unnoticed.
+  const SocialNetwork n = MakeRunningExample();
+  RrIndexOptions options = SmallOptions();
+  options.theta_override = 300;  // two chunks, the second partial
+  RrIndex index(n, options);
+  index.Build();
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  const std::string bytes = file.str();
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string flipped = bytes;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x10);
+    std::stringstream in(flipped);
+    EXPECT_EQ(LoadRrIndex(n, in), nullptr) << "byte " << pos << " flipped";
+  }
+}
+
+TEST(IndexIoTest, CorruptChunkRecordClassifiedAsChecksumMismatch) {
+  const SocialNetwork n = MakeRunningExample();
+  RrIndex index(n, SmallOptions());
+  index.Build();
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  std::string bytes = file.str();
+  // A threshold bit deep inside the first record: structurally valid,
+  // so only the recomputed chunk digest can tell.
+  bytes[bytes.size() / 8] = static_cast<char>(bytes[bytes.size() / 8] ^ 0x01);
+  IndexIoError error;
+  std::stringstream in(bytes);
+  EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr);
+  EXPECT_EQ(error.code, IndexIoCode::kChecksumMismatch) << error.message;
+}
+
+TEST(IndexIoTest, ChunkDigestsAreHashedOnceAndCarriedByLoads) {
+  const SocialNetwork n = MakeRunningExample();
+  RrIndex index(n, SmallOptions());
+  index.Build();
+  uint64_t first = 0;
+  std::stringstream a;
+  IndexIoError error;
+  ASSERT_TRUE(SaveRrIndex(index, a, &error, &first)) << error.message;
+  // Every sketch record is hashed, besides the network's chunks.
+  EXPECT_GT(first, index.pool().total_edges() * sizeof(RRLocalEdge));
+
+  uint64_t second = 0;
+  std::stringstream b;
+  ASSERT_TRUE(SaveRrIndex(index, b, &error, &second));
+  EXPECT_EQ(second, 0u);
+  EXPECT_EQ(a.str(), b.str());
+
+  // A loaded index keeps the digests its load recomputed, and a replica
+  // sharing the pool shares them.
+  std::stringstream in(a.str());
+  const auto loaded = LoadRrIndex(n, in, &error);
+  ASSERT_NE(loaded, nullptr) << error.message;
+  const auto replica =
+      RrIndex::FromPool(n, SmallOptions(), index.theta(), index.pool());
+  for (const RrIndex* saved : {loaded.get(), replica.get()}) {
+    uint64_t hashed = 0;
+    std::stringstream c;
+    ASSERT_TRUE(SaveRrIndex(*saved, c, &error, &hashed));
+    EXPECT_EQ(hashed, 0u);
+  }
+  std::stringstream resaved;
+  ASSERT_TRUE(SaveRrIndex(*loaded, resaved, &error));
+  EXPECT_EQ(resaved.str(), a.str());
+}
+
+TEST(NetworkFingerprintTest, ChangingOneEdgeTopicVectorChangesIt) {
+  const SocialNetwork n = MakeRunningExample();
+  uint64_t hashed = 0;
+  const uint64_t before = NetworkFingerprint(n, &hashed);
+  EXPECT_GT(hashed, 0u);
+  hashed = 0;
+  EXPECT_EQ(NetworkFingerprint(n, &hashed), before);
+  EXPECT_EQ(hashed, 0u);  // every digest cached
+
+  // The replaced edge's chunk is rebuilt, so its digest is fresh; the
+  // topology block is shared and stays hashed.
+  const EdgeTopicEntry entries[] = {{0, 0.25}};
+  const EdgeTopicsReplacement replacement{3, entries};
+  SocialNetwork changed = n;
+  changed.influence = ReplaceEdgeTopics(n.influence, {&replacement, 1});
+  hashed = 0;
+  const uint64_t after = NetworkFingerprint(changed, &hashed);
+  EXPECT_NE(after, before);
+  EXPECT_GT(hashed, 0u);
+
+  // The composed fingerprint equals one of the same model built from
+  // scratch.
+  SocialNetwork rebuilt = n;
+  InfluenceGraphBuilder builder(n.num_edges());
+  for (EdgeId e = 0; e < n.num_edges(); ++e) {
+    if (e == 3) {
+      builder.SetEdgeTopics(e, entries);
+    } else {
+      builder.SetEdgeTopics(e, n.influence.EdgeTopics(e));
+    }
+  }
+  rebuilt.influence = builder.Build();
+  EXPECT_EQ(NetworkFingerprint(rebuilt), after);
+}
+
+TEST(NetworkFingerprintTest, TopologyChangesIt) {
+  const SocialNetwork n = MakeRunningExample();
+  SocialNetwork rewired = n;
+  GraphBuilder graph(n.num_vertices());
+  for (EdgeId e = 0; e < n.num_edges(); ++e) {
+    graph.AddEdge(n.graph.Tail(e), e == 2 ? 4 : n.graph.Head(e));
+  }
+  rewired.graph = graph.Build();
+  EXPECT_NE(NetworkFingerprint(rewired), NetworkFingerprint(n));
 }
 
 TEST(IndexIoTest, DelayMatRoundTripsExactly) {
@@ -402,23 +436,25 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   constexpr uint8_t kRr = 1;
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
+  constexpr uint32_t kV = kIndexFormatVersion;
+
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),
             IndexIoCode::kBadVersion);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, 2, fp, 0.1, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kV, 2, fp, 0.1, 0.01, 8)),
             IndexIoCode::kWrongKind);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp + 1, 0.1, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kV, kRr, fp + 1, 0.1, 0.01, 8)),
             IndexIoCode::kFingerprintMismatch);
 
   // Option plausibility: NaN / non-positive accuracy knobs and absurd
   // cap_k are header corruption even when the framing parses.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, nan, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kV, kRr, fp, nan, 0.01, 8)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, 0.1, -1.0, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kV, kRr, fp, 0.1, -1.0, 8)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, 0.1, 0.01, 0)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kV, kRr, fp, 0.1, 0.01, 0)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, 0.1, 0.01,
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kV, kRr, fp, 0.1, 0.01,
                                        uint64_t{1} << 30)),
             IndexIoCode::kBadOptions);
 
@@ -426,7 +462,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   // (the file simply ends early -- the signature of a crashed
   // non-atomic save); kTruncated is reserved for streams with bytes
   // still behind the short read.
-  const std::string header = EncodeHeader(2, kRr, fp, 0.1, 0.01, 8);
+  const std::string header = EncodeHeader(kV, kRr, fp, 0.1, 0.01, 8);
   EXPECT_EQ(LoadRrCode(n, header.substr(0, 40)), IndexIoCode::kTornWrite);
 }
 

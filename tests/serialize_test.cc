@@ -4,9 +4,12 @@
 
 #include "src/util/serialize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -253,6 +256,133 @@ TEST(ChecksumTest, WriterAndReaderDigestsAgree) {
   ASSERT_TRUE(reader.ReadU32(&value));
   ASSERT_TRUE(reader.ReadString(&str));
   EXPECT_EQ(reader.digest(), writer_digest);
+}
+
+std::vector<unsigned char> Bytes(size_t n) {
+  std::vector<unsigned char> bytes(n);
+  for (size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  return bytes;
+}
+
+uint64_t HashOf(const std::vector<unsigned char>& bytes) {
+  Hash64 h;
+  h.Update(bytes.data(), bytes.size());
+  return h.digest();
+}
+
+TEST(Hash64Test, DigestDependsOnBytesNotOnUpdateSplits) {
+  const auto bytes = Bytes(1000);
+  const uint64_t one_shot = HashOf(bytes);
+  for (const size_t step : {1u, 3u, 7u, 8u, 13u, 64u}) {
+    Hash64 h;
+    for (size_t i = 0; i < bytes.size(); i += step) {
+      h.Update(bytes.data() + i, std::min(step, bytes.size() - i));
+    }
+    EXPECT_EQ(h.digest(), one_shot) << "step " << step;
+    EXPECT_EQ(h.bytes(), bytes.size());
+  }
+}
+
+TEST(Hash64Test, UpdateU64EqualsItsLittleEndianBytes) {
+  for (const size_t prefix : {0u, 3u, 8u}) {
+    const uint64_t value = 0x0123456789abcdefULL;
+    const unsigned char le[8] = {0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01};
+    const auto head = Bytes(prefix);
+    Hash64 a, b;
+    a.Update(head.data(), head.size());
+    b.Update(head.data(), head.size());
+    a.UpdateU64(value);
+    b.Update(le, sizeof(le));
+    EXPECT_EQ(a.digest(), b.digest()) << "after " << prefix << " bytes";
+  }
+}
+
+TEST(Hash64Test, EveryBitAndTheLengthMatter) {
+  auto bytes = Bytes(257);  // a partial last word
+  const uint64_t base = HashOf(bytes);
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    EXPECT_NE(HashOf(bytes), base) << "bit " << bit;
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  }
+  // Zero padding of the last word is not the same as zero bytes.
+  auto padded = bytes;
+  padded.push_back(0);
+  EXPECT_NE(HashOf(padded), base);
+}
+
+TEST(CachedDigestTest, HashesOnce) {
+  const auto bytes = Bytes(100);
+  int calls = 0;
+  const auto hash = [&](Hash64* h) {
+    ++calls;
+    h->Update(bytes.data(), bytes.size());
+  };
+  CachedDigest cached;
+  uint64_t hashed = 0;
+  const uint64_t first = cached.Get(hash, &hashed);
+  EXPECT_EQ(first, HashOf(bytes));
+  EXPECT_EQ(hashed, bytes.size());
+  EXPECT_EQ(cached.Get(hash, &hashed), first);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(hashed, bytes.size());  // a cached digest hashes nothing
+
+  CachedDigest set;
+  set.Set(42);
+  EXPECT_EQ(set.Get(hash, nullptr), 42u);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(EmitLittleEndianTest, MatchesWriteElementsEncoding) {
+  const std::vector<uint32_t> words = {1, 0xdeadbeef, 77};
+  const std::vector<uint64_t> wide = {0x0123456789abcdefULL, 5};
+  std::string emitted;
+  const auto sink = [&](const void* data, size_t size) {
+    emitted.append(static_cast<const char*>(data), size);
+  };
+  EmitLittleEndian<4>(words.data(), words.size() * 4, sink);
+  EmitLittleEndian<8>(wide.data(), wide.size() * 8, sink);
+  std::stringstream stream;
+  BinaryWriter writer(&stream);
+  writer.WriteElements<uint32_t>(words);
+  writer.WriteElements<uint64_t>(wide);
+  EXPECT_EQ(emitted, stream.str());
+
+  std::vector<uint32_t> back(words.size());
+  std::memcpy(back.data(), emitted.data(), back.size() * 4);
+  FromLittleEndian<4>(back.data(), back.size() * 4);
+  EXPECT_EQ(back, words);
+}
+
+TEST(ChecksumTest, UndecidedReaderFollowsTheSelectedChecksum) {
+  for (const Checksum kind : {Checksum::kFnv1a, Checksum::kHash64}) {
+    std::stringstream stream;
+    BinaryWriter writer(&stream, kind);
+    writer.WriteU32(3);
+    writer.WriteString("payload");
+    writer.WriteChecksum();
+    for (const Checksum selected : {Checksum::kFnv1a, Checksum::kHash64}) {
+      std::stringstream in(stream.str());
+      BinaryReader reader(&in, std::nullopt);
+      uint32_t version = 0;
+      std::string str;
+      ASSERT_TRUE(reader.ReadU32(&version));
+      reader.SelectChecksum(selected);
+      ASSERT_TRUE(reader.ReadString(&str));
+      EXPECT_EQ(reader.VerifyChecksum(), selected == kind);
+    }
+  }
+  // Undecided at the trailer: nothing to verify against.
+  std::stringstream stream;
+  BinaryWriter writer(&stream, Checksum::kHash64);
+  writer.WriteU64(9);
+  writer.WriteChecksum();
+  BinaryReader reader(&stream, std::nullopt);
+  uint64_t value = 0;
+  ASSERT_TRUE(reader.ReadU64(&value));
+  EXPECT_FALSE(reader.VerifyChecksum());
 }
 
 }  // namespace

@@ -56,6 +56,30 @@ TEST(SnapshotRegistryTest, RetiredEpochLivesWhilePinnedThenReclaims) {
   EXPECT_EQ(registry.AliveSnapshots(), 0u);
 }
 
+TEST(SnapshotRegistryTest, UnpinnedSnapshotsAreFreedByPublishItself) {
+  const SocialNetwork n = MakeRunningExample();
+  IndexSnapshotRegistry registry;
+  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, "", 1));
+  for (uint64_t epoch = 2; epoch <= 10000; ++epoch) {
+    const std::weak_ptr<const IndexSnapshot> displaced = registry.Current();
+    registry.Publish(IndexSnapshot::Wrap(&n, nullptr, "", epoch));
+    // Nobody pinned it, so Publish released the last reference before
+    // returning (after dropping its lock).
+    ASSERT_TRUE(displaced.expired()) << "epoch " << epoch - 1;
+  }
+  EXPECT_EQ(registry.AliveSnapshots(), 0u);
+  EXPECT_EQ(registry.current_epoch(), 10000u);
+
+  // A pinned one survives every later publish, and only it stays alive.
+  std::shared_ptr<const IndexSnapshot> pinned = registry.Current();
+  for (uint64_t epoch = 10001; epoch <= 10100; ++epoch) {
+    registry.Publish(IndexSnapshot::Wrap(&n, nullptr, "", epoch));
+  }
+  EXPECT_EQ(registry.AliveSnapshots(), 1u);
+  pinned.reset();
+  EXPECT_EQ(registry.AliveSnapshots(), 0u);
+}
+
 TEST(SnapshotRegistryTest, FromDynamicMatchesMasterEstimates) {
   const SocialNetwork n = MakeRunningExample();
   DynamicRrIndex master(n, DenseOptions());
