@@ -13,6 +13,9 @@
 //      BatchWorkerStats expose and the stealing scheduler removes;
 //   3. p50/p95/p99 sojourn latency of the service under a bursty arrival
 //      schedule (waves of concurrent Submits separated by idle gaps).
+//      Percentiles are interpolated inside the buckets of the service's
+//      pitex_query_sojourn_seconds histogram, so they are estimates to
+//      within a bucket and there is no exact max.
 
 #include <algorithm>
 #include <future>
@@ -21,6 +24,26 @@
 #include "bench/bench_common.h"
 #include "src/core/batch_engine.h"
 #include "src/serve/pitex_service.h"
+
+namespace {
+
+// The sojourn samples a service recorded between two of its metric
+// snapshots: the later histogram less the earlier one.
+pitex::obs::MetricValue SojournBetween(
+    const pitex::obs::MetricsSnapshot& before,
+    const pitex::obs::MetricsSnapshot& after) {
+  constexpr const char* kSojourn = "pitex_query_sojourn_seconds";
+  pitex::obs::MetricValue interval = after.HistogramValue(kSojourn);
+  const pitex::obs::MetricValue& earlier = before.HistogramValue(kSojourn);
+  for (size_t i = 0; i < interval.bucket_counts.size(); ++i) {
+    interval.bucket_counts[i] -= earlier.bucket_counts[i];
+  }
+  interval.count -= earlier.count;
+  interval.sum -= earlier.sum;
+  return interval;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   pitex::bench::InitBench(argc, argv);
@@ -144,7 +167,8 @@ int main(int argc, char** argv) {
       const double serve_seconds = serve_timer.Seconds();
       const double serve_qps =
           static_cast<double>(skewed.size()) / std::max(serve_seconds, 1e-9);
-      const ServiceStats stats = service.Stats();
+      const uint64_t steals =
+          service.SnapshotMetrics().CounterValue("pitex_steals_total");
 
       std::printf("%-10s %-10s batch %9.1f q/s (busy %.3fs / idle %.3fs)  "
                   "serve %9.1f q/s (steals %llu)  speedup %.2fx  "
@@ -152,7 +176,7 @@ int main(int argc, char** argv) {
                   "%.3fms, %.2fx]\n",
                   d.name.c_str(), MethodName(method), batch_qps, busiest,
                   idlest, serve_qps,
-                  static_cast<unsigned long long>(stats.steals),
+                  static_cast<unsigned long long>(steals),
                   serve_qps / std::max(batch_qps, 1e-9), kServeThreads,
                   rr_makespan * 1e3, balanced_makespan * 1e3,
                   rr_makespan / std::max(balanced_makespan, 1e-9));
@@ -187,7 +211,8 @@ int main(int argc, char** argv) {
       warm.push_back({.user = users[i % users.size()], .k = 3});
     }
     (void)service.ServeAll(warm);
-    service.ClearLatencyWindow();  // percentiles cover the bursts only
+    // Percentiles cover the bursts only.
+    const obs::MetricsSnapshot warmed = service.SnapshotMetrics();
 
     Timer burst_timer;
     std::vector<std::future<ServedResult>> futures;
@@ -203,13 +228,15 @@ int main(int argc, char** argv) {
     for (auto& future : futures) (void)future.get();
     const double wall = burst_timer.Seconds();
 
-    const LatencySummary latency = service.Stats().latency;
+    const obs::MetricValue latency =
+        SojournBetween(warmed, service.SnapshotMetrics());
     std::printf("%-10s %4zu queries in %zu bursts: %8.1f q/s  "
-                "p50 %7.2fms  p95 %7.2fms  p99 %7.2fms  max %7.2fms\n",
+                "p50 %7.2fms  p95 %7.2fms  p99 %7.2fms\n",
                 d.name.c_str(), futures.size(), kBursts,
                 static_cast<double>(futures.size()) / std::max(wall, 1e-9),
-                latency.p50 * 1e3, latency.p95 * 1e3, latency.p99 * 1e3,
-                latency.max * 1e3);
+                obs::HistogramQuantile(latency, 0.50) * 1e3,
+                obs::HistogramQuantile(latency, 0.95) * 1e3,
+                obs::HistogramQuantile(latency, 0.99) * 1e3);
   }
   std::printf("shape check: p99 >> p50 under bursts (queue wait dominates "
               "the tail); the gap\nshrinks as burst size approaches the "
@@ -228,7 +255,7 @@ int main(int argc, char** argv) {
   struct StormOutcome {
     size_t served = 0, shed = 0, degraded = 0, expired = 0;
     double wall = 0.0;
-    LatencySummary latency;
+    double p99 = 0.0;  // sojourn of the storm's answered queries
   };
   const auto run_storm = [&](const SocialNetwork& network,
                              const ServeOptions& serve_options,
@@ -239,7 +266,7 @@ int main(int argc, char** argv) {
                                  storm.begin() + storm.size() / 4);
     for (PitexQuery& q : warm) q.budget_seconds = 0.0;
     (void)service.ServeAll(warm);
-    service.ClearLatencyWindow();
+    const obs::MetricsSnapshot warmed = service.SnapshotMetrics();
     StormOutcome outcome;
     Timer timer;
     std::vector<std::future<ServedResult>> futures;
@@ -256,7 +283,8 @@ int main(int argc, char** argv) {
       }
     }
     outcome.wall = timer.Seconds();
-    outcome.latency = service.Stats().latency;
+    outcome.p99 = obs::HistogramQuantile(
+        SojournBetween(warmed, service.SnapshotMetrics()), 0.99);
     return outcome;
   };
 
@@ -287,15 +315,15 @@ int main(int argc, char** argv) {
     std::printf("%-10s open-queue : served %3zu shed %3zu  p99 %8.2fms  "
                 "wall %6.1fms\n",
                 d.name.c_str(), open.served, open.shed,
-                open.latency.p99 * 1e3, open.wall * 1e3);
+                open.p99 * 1e3, open.wall * 1e3);
     std::printf("%-10s bounded    : served %3zu shed %3zu  p99 %8.2fms  "
                 "wall %6.1fms\n",
                 d.name.c_str(), shed.served, shed.shed,
-                shed.latency.p99 * 1e3, shed.wall * 1e3);
+                shed.p99 * 1e3, shed.wall * 1e3);
     std::printf("%-10s +deadlines : served %3zu shed %3zu degraded %3zu "
                 "expired %3zu  p99 %8.2fms\n",
                 d.name.c_str(), soft.served, soft.shed, soft.degraded,
-                soft.expired, soft.latency.p99 * 1e3);
+                soft.expired, soft.p99 * 1e3);
   }
   std::printf("shape check: the bounded queue sheds most of the storm and "
               "its served-p99 drops\nwell below the open queue's; with "

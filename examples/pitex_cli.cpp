@@ -27,7 +27,7 @@
 //   pitex_cli serve <net.pitex> <queries> <updates> <threads> [wal_dir]
 //             [--stats-out=<file>] [--stats-format=json|prom]
 //       Run the serving tier end to end: answer queries, fold in edge
-//       updates, and report the full ServiceStats dump. With a wal_dir
+//       updates, and report the service's metrics. With a wal_dir
 //       the service is durable (write-ahead log + checkpoints) and
 //       recovers whatever state the directory already holds. With
 //       --stats-out the final metrics snapshot + event journal are
@@ -480,31 +480,34 @@ int CmdServe(int argc, char** argv) {
   double total_influence = 0.0;
   for (const ServedResult& r : served) total_influence += r.result.influence;
 
-  const ServiceStats stats = service.Stats();
+  const obs::MetricsSnapshot stats = service.SnapshotMetrics();
+  const auto count = [&stats](const char* name) {
+    return static_cast<unsigned long long>(stats.CounterValue(name));
+  };
   std::printf("started in %.2f s (%llu WAL records replayed)\n",
-              start_seconds,
-              static_cast<unsigned long long>(stats.recovery_replayed_lsns));
+              start_seconds, count("pitex_recovery_replayed_lsns_total"));
   std::printf(
-      "%zu queries, avg spread %.2f; %zu updates (%zu rejected, "
-      "%zu deferred)\n",
+      "%zu queries, avg spread %.2f; %zu updates (%zu rejected), "
+      "%zu deferred\n",
       served.size(),
       served.empty() ? 0.0
                      : total_influence / static_cast<double>(served.size()),
       num_updates, rejected, deferred);
-  std::printf("serving:    epoch %llu, %llu published, %llu cache hits, "
+  std::printf("serving:    epoch %lld, %lld published, %llu cache hits, "
               "%llu steals, p95 %.2f ms\n",
-              static_cast<unsigned long long>(stats.current_epoch),
-              static_cast<unsigned long long>(stats.epochs_published),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.steals),
-              stats.latency.p95 * 1e3);
+              static_cast<long long>(stats.GaugeValue("pitex_current_epoch")),
+              static_cast<long long>(
+                  stats.GaugeValue("pitex_epochs_published")),
+              count("pitex_cache_hits_total"), count("pitex_steals_total"),
+              obs::HistogramQuantile(
+                  stats.HistogramValue("pitex_query_sojourn_seconds"), 0.95) *
+                  1e3);
   std::printf("durability: %llu WAL appends (%llu failed), %llu fsyncs, "
               "%llu checkpoints (%llu failed)\n",
-              static_cast<unsigned long long>(stats.wal_appends),
-              static_cast<unsigned long long>(stats.wal_append_failures),
-              static_cast<unsigned long long>(stats.wal_fsyncs),
-              static_cast<unsigned long long>(stats.checkpoints),
-              static_cast<unsigned long long>(stats.checkpoint_failures));
+              count("pitex_wal_appends_total"),
+              count("pitex_wal_append_failures_total"),
+              count("pitex_wal_fsyncs_total"), count("pitex_checkpoints_total"),
+              count("pitex_checkpoint_failures_total"));
   if (!stats_out.empty()) {
     std::FILE* out = std::fopen(stats_out.c_str(), "w");
     if (out == nullptr) {

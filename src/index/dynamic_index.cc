@@ -152,6 +152,19 @@ void DynamicRrIndex::ClearDirtyVertices() {
   dirty_.clear();
 }
 
+const char* ValidateBatch(std::span<const EdgeInfluenceUpdate> updates,
+                          size_t num_edges) {
+  for (const EdgeInfluenceUpdate& update : updates) {
+    if (update.edge >= num_edges) return "references an unknown edge";
+    for (const EdgeTopicEntry& entry : update.entries) {
+      if (!std::isfinite(entry.prob) || entry.prob < 0.0 || entry.prob > 1.0) {
+        return "probability out of [0, 1]";
+      }
+    }
+  }
+  return nullptr;
+}
+
 void DynamicRrIndex::UpdateEdgeTopics(EdgeId edge,
                                       std::span<const EdgeTopicEntry> entries) {
   EdgeInfluenceUpdate update;

@@ -68,6 +68,15 @@ struct EdgeInfluenceUpdate {
   std::vector<EdgeTopicEntry> entries;
 };
 
+/// The one batch check every path that accepts updates runs before
+/// applying them (ApplyUpdates, checkpoint model deltas, WAL replay):
+/// each edge below `num_edges`, each probability finite and in [0, 1].
+/// Returns nullptr for a valid batch, else what the first bad update
+/// got wrong ("references an unknown edge" or "probability out of
+/// [0, 1]"), for the caller to prefix with what it was reading.
+const char* ValidateBatch(std::span<const EdgeInfluenceUpdate> updates,
+                          size_t num_edges);
+
 class DynamicRrIndex final : public InfluenceOracle {
  public:
   /// Copies `network` (the index owns the evolving model; the caller's

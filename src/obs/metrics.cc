@@ -79,6 +79,38 @@ int64_t MetricsSnapshot::GaugeValue(std::string_view name) const {
   return metric->gauge;
 }
 
+const MetricValue& MetricsSnapshot::HistogramValue(
+    std::string_view name) const {
+  const MetricValue* metric = Find(name);
+  PITEX_CHECK_MSG(metric != nullptr, "unknown histogram name");
+  PITEX_CHECK_MSG(metric->type == MetricType::kHistogram,
+                  "metric is not a histogram");
+  return *metric;
+}
+
+double HistogramQuantile(const MetricValue& histogram, double q) {
+  const std::vector<double>& bounds = histogram.bounds;
+  const std::vector<uint64_t>& counts = histogram.bucket_counts;
+  uint64_t total = 0;
+  for (const uint64_t c : counts) total += c;
+  if (total == 0) return 0.0;
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  uint64_t below = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0 ||
+        static_cast<double>(below + counts[i]) < rank) {
+      below += counts[i];
+      continue;
+    }
+    if (i >= bounds.size()) return bounds.empty() ? 0.0 : bounds.back();
+    const double upper = bounds[i];
+    const double lower = i > 0 ? bounds[i - 1] : std::min(0.0, upper);
+    return lower + (upper - lower) * (rank - static_cast<double>(below)) /
+                       static_cast<double>(counts[i]);
+  }
+  return bounds.empty() ? 0.0 : bounds.back();
+}
+
 namespace {
 
 void AppendDouble(std::string* out, double v) {

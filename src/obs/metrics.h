@@ -1,9 +1,8 @@
 // Unified metrics registry for the serving tier (docs/observability.md).
 //
-// The serving layer grew its counters organically: ServiceStats fields,
-// per-subsystem accessors (WriteAheadLog::appends()), and atomics
-// sprinkled through PitexService. This registry gives every counter one
-// home with three properties the ad-hoc scheme lacked:
+// The serving tier's one stats surface: every counter, gauge and latency
+// histogram of a PitexService lives here, and SnapshotMetrics() is the
+// only way to read them. The registry has three properties:
 //
 //   * typed handles -- Counter (monotonic), Gauge (instantaneous) and
 //     Histogram (fixed log-scaled buckets) are registered ONCE at
@@ -164,10 +163,20 @@ struct MetricsSnapshot {
   /// a loud failure, not a silent zero).
   uint64_t CounterValue(std::string_view name) const;
   int64_t GaugeValue(std::string_view name) const;
+  const MetricValue& HistogramValue(std::string_view name) const;
 
   std::string ToJson() const;
   std::string ToPrometheus() const;
 };
+
+/// The q-quantile (q in [0, 1]) of a histogram value, estimated from its
+/// buckets the Prometheus way: linear interpolation inside the bucket
+/// holding rank q * total (the first bucket's lower edge is 0, or its
+/// bound if that is not positive), and the last finite bound when the
+/// rank falls in the +Inf bucket. Totals come from bucket_counts, so a
+/// value whose buckets were subtracted from a later snapshot's works
+/// too. 0 for an empty histogram.
+double HistogramQuantile(const MetricValue& histogram, double q);
 
 /// Registry of named metrics. Registration happens once at subsystem
 /// startup (idempotent per name: re-registering returns the existing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -21,16 +20,11 @@ PitexService::PitexService(const SocialNetwork* network,
   PITEX_CHECK(network != nullptr);
   options_.num_threads = std::max<size_t>(1, options_.num_threads);
   options_.top_n = std::max<size_t>(1, options_.top_n);
-  options_.latency_window = std::max<size_t>(1, options_.latency_window);
   PITEX_CHECK_MSG(options_.durability_dir.empty() || options_.enable_updates,
                   "durability_dir requires enable_updates");
   term_.store(options_.term, std::memory_order_relaxed);
-  // Containers that Stats()/ClearLatencyWindow() traverse are sized here
-  // and never reassigned again, so those methods stay safe to call
-  // concurrently with a lazy Start() from another thread.
   deques_.resize(options_.num_threads);
   workers_ = std::vector<WorkerState>(options_.num_threads);
-  counters_ = std::vector<WorkerCounters>(options_.num_threads);
   // Deterministic mode forbids the cache: a hit skips the engine, so the
   // worker's sampler RNG would not advance and every subsequent answer
   // on that worker would diverge from BatchEngine.
@@ -105,7 +99,7 @@ void PitexService::RegisterMetrics() {
       "Update batches rejected because this writer's term is stale");
   m_.sojourn = metrics_.RegisterHistogram(
       "pitex_query_sojourn_seconds",
-      "Enqueue-to-answer latency of engine-served queries",
+      "Enqueue-to-answer latency of every answered query",
       {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
        0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0});
   m_.publish_dirty_users = metrics_.RegisterHistogram(
@@ -142,6 +136,10 @@ void PitexService::RegisterMetrics() {
       "Admitted queries currently queued or executing");
   m_.publish_in_flight = metrics_.RegisterGauge(
       "pitex_publish_in_flight", "1 while a snapshot freeze is running");
+  m_.publish_stuck = metrics_.RegisterGauge(
+      "pitex_publish_stuck",
+      "1 while a snapshot freeze has run longer than "
+      "publish_stuck_after_seconds");
   m_.durable_lsn = metrics_.RegisterGauge(
       "pitex_durable_lsn", "Last WAL LSN acknowledged as durable");
   m_.published_lsn = metrics_.RegisterGauge(
@@ -170,14 +168,26 @@ void PitexService::CollectDerivedMetrics() {
     m_.cache_evictions->Set(static_cast<int64_t>(cache_stats.evictions));
   }
   if (admission_ != nullptr) {
-    m_.admission_in_flight->Set(
-        static_cast<int64_t>(admission_->GetStats().in_flight));
+    m_.admission_in_flight->Set(static_cast<int64_t>(admission_->in_flight()));
   }
   m_.current_epoch->Set(static_cast<int64_t>(registry_.current_epoch()));
   m_.epochs_published->Set(static_cast<int64_t>(registry_.epochs_published()));
   m_.snapshots_alive->Set(static_cast<int64_t>(registry_.AliveSnapshots()));
-  m_.publish_in_flight->Set(
-      publish_in_flight_.load(std::memory_order_acquire) ? 1 : 0);
+  // Watchdog: atomics only, never update_mutex_ (a stuck publish holds
+  // it), so a snapshot stays responsive during the hang.
+  const bool publishing = publish_in_flight_.load(std::memory_order_acquire);
+  bool stuck = false;
+  if (publishing) {
+    const int64_t started = publish_started_ns_.load(std::memory_order_relaxed);
+    const int64_t now_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now().time_since_epoch())
+            .count();
+    stuck = static_cast<double>(now_ns - started) * 1e-9 >
+            options_.publish_stuck_after_seconds;
+  }
+  m_.publish_in_flight->Set(publishing ? 1 : 0);
+  m_.publish_stuck->Set(stuck ? 1 : 0);
   const uint64_t applied = applied_batches_.load(std::memory_order_relaxed);
   const uint64_t published =
       published_batches_.load(std::memory_order_relaxed);
@@ -487,7 +497,6 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
   key.method = static_cast<uint8_t>(options_.engine.method);
   key.epoch = state.engine_epoch;
 
-  double latencies[kMaxRunLength];
   ServedResult outs[kMaxRunLength];
   size_t count = 0;
   uint64_t hit_count = 0;
@@ -536,9 +545,10 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
         ++deadline_count;
         journal_.Record(obs::EventKind::kDeadlineExpired, item.query.user,
                         worker);
-        latencies[count++] = std::chrono::duration<double>(Clock::now() -
-                                                           item.enqueued)
-                                 .count();
+        m_.sojourn->Observe(
+            std::chrono::duration<double>(Clock::now() - item.enqueued)
+                .count());
+        ++count;
         continue;
       }
     }
@@ -587,8 +597,9 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
       }
     }
 
-    latencies[count++] =
-        std::chrono::duration<double>(Clock::now() - item.enqueued).count();
+    m_.sojourn->Observe(
+        std::chrono::duration<double>(Clock::now() - item.enqueued).count());
+    ++count;
   }
 
   // Admitted slots free up as soon as the answers are computed (before
@@ -596,31 +607,14 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
   if (admission_ != nullptr) admission_->Release(run->size());
 
   // Flush the counters BEFORE delivering: once the batch waiter (or a
-  // future holder) unblocks, Stats() and SnapshotMetrics() must already
-  // account for every query of this run. One flush per run, not per
-  // query. The registry counters are lock-free; only the per-worker
-  // load split and the latency ring need stats_mutex_.
+  // future holder) unblocks, SnapshotMetrics() must already account for
+  // every query of this run. One lock-free flush per run, not per query.
   m_.ok->Inc(count - degraded_count - deadline_count);
   m_.degraded->Inc(degraded_count);
   m_.deadline_expired->Inc(deadline_count);
   m_.cache_hits->Inc(hit_count);
   m_.cache_carried_hits->Inc(carried_count);
   if (stolen) m_.steals->Inc(count);
-  for (size_t i = 0; i < count; ++i) m_.sojourn->Observe(latencies[i]);
-  {
-    MutexLock lock(stats_mutex_);
-    WorkerCounters& counters = counters_[worker];
-    counters.served += count;
-    for (size_t i = 0; i < count; ++i) {
-      if (counters.latency_ring.size() < options_.latency_window) {
-        counters.latency_ring.push_back(latencies[i]);
-      } else {
-        counters.latency_ring[counters.latency_pos] = latencies[i];
-        counters.latency_pos =
-            (counters.latency_pos + 1) % counters.latency_ring.size();
-      }
-    }
-  }
 
   for (size_t i = 0; i < count; ++i) {
     PendingQuery& item = (*run)[i];
@@ -845,16 +839,9 @@ uint64_t PitexService::ApplyUpdates(
   // acknowledged since the last checkpoint would be reachable again.
   // Rejecting here keeps the log's invariant: every record it holds is
   // a record replay will accept.
-  for (const EdgeInfluenceUpdate& update : updates) {
-    bool valid = update.edge < network_->num_edges();
-    for (const EdgeTopicEntry& entry : update.entries) {
-      valid = valid && std::isfinite(entry.prob) && entry.prob >= 0.0 &&
-              entry.prob <= 1.0;
-    }
-    if (!valid) {
-      *outcome = ApplyUpdatesOutcome::kInvalidBatch;
-      return 0;  // nothing logged, nothing applied
-    }
+  if (ValidateBatch(updates, network_->num_edges()) != nullptr) {
+    *outcome = ApplyUpdatesOutcome::kInvalidBatch;
+    return 0;  // nothing logged, nothing applied
   }
   if (wal_ != nullptr) {
     // Durable-before-apply: the batch reaches disk (and the fsync
@@ -1000,81 +987,8 @@ size_t PitexService::SharedIndexSizeBytes() const {
   return snapshot->delay_snapshot().size();
 }
 
-void PitexService::ClearLatencyWindow() {
-  MutexLock lock(stats_mutex_);
-  for (WorkerCounters& counters : counters_) {
-    counters.latency_ring.clear();
-    counters.latency_pos = 0;
-  }
-}
-
 obs::MetricsSnapshot PitexService::SnapshotMetrics() {
   return metrics_.Snapshot();
-}
-
-ServiceStats PitexService::Stats() {
-  ServiceStats stats;
-  std::vector<double> latencies;
-  {
-    MutexLock lock(stats_mutex_);
-    stats.per_worker_served.reserve(counters_.size());
-    for (const WorkerCounters& counters : counters_) {
-      stats.per_worker_served.push_back(counters.served);
-      stats.queries_served += counters.served;
-      latencies.insert(latencies.end(), counters.latency_ring.begin(),
-                       counters.latency_ring.end());
-    }
-  }
-  // Scalar counters are a view over the registry handles -- the same
-  // values SnapshotMetrics() exports, read here without a snapshot.
-  stats.steals = m_.steals->Value();
-  stats.degraded = m_.degraded->Value();
-  stats.deadline_expired = m_.deadline_expired->Value();
-  stats.shed_queue_full = m_.shed_queue_full->Value();
-  stats.shed_rate_limited = m_.shed_rate_limited->Value();
-  if (admission_ != nullptr) {
-    const AdmissionController::Stats admission = admission_->GetStats();
-    stats.admission_in_flight = admission.in_flight;
-    stats.queue_depth = admission.queue_depth;
-  }
-  stats.publish_retries = m_.publish_retries->Value();
-  stats.publish_failures = m_.publish_failures->Value();
-  stats.wal_appends = m_.wal_appends->Value();
-  stats.wal_fsyncs = m_.wal_fsyncs->Value();
-  stats.wal_append_failures = m_.wal_append_failures->Value();
-  stats.checkpoints = m_.checkpoints->Value();
-  stats.checkpoint_failures = m_.checkpoint_failures->Value();
-  stats.recovery_replayed_lsns = m_.recovery_replayed->Value();
-  stats.publish_in_flight = publish_in_flight_.load(std::memory_order_acquire);
-  if (stats.publish_in_flight) {
-    // Watchdog: reading atomics (never update_mutex_, which the stuck
-    // publish itself holds) keeps Stats() responsive during the hang.
-    const int64_t started = publish_started_ns_.load(std::memory_order_relaxed);
-    const int64_t now_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count();
-    stats.publish_stuck =
-        static_cast<double>(now_ns - started) * 1e-9 >
-        options_.publish_stuck_after_seconds;
-  }
-  if (cache_ != nullptr) {
-    const ResultCache::Stats cache_stats = cache_->GetStats();
-    stats.cache_hits = cache_stats.hits;
-    stats.cache_entries = cache_stats.entries;
-    stats.cache_evictions = cache_stats.evictions;
-  }
-  // Cache hit counters advance per query while served counts flush per
-  // run, so a concurrent poll can briefly observe hits > served; clamp
-  // instead of letting the unsigned subtraction wrap.
-  stats.cache_misses = stats.queries_served >= stats.cache_hits
-                           ? stats.queries_served - stats.cache_hits
-                           : 0;
-  stats.epochs_published = registry_.epochs_published();
-  stats.current_epoch = registry_.current_epoch();
-  stats.snapshots_alive = registry_.AliveSnapshots();
-  stats.latency = SummarizeLatencies(std::move(latencies));
-  return stats;
 }
 
 }  // namespace pitex

@@ -1,7 +1,6 @@
 #include "src/serve/recovery.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -267,16 +266,11 @@ bool RecoverServingState(const SocialNetwork& base,
   uint64_t base_epoch = 1;  // the epoch Start()'s initial publish uses
   std::vector<EdgeId> touched;
   if (have_checkpoint) {
+    if (const char* problem =
+            ValidateBatch(manifest.model_delta, base.num_edges())) {
+      return Fail(error, std::string("checkpoint delta ") + problem);
+    }
     for (const EdgeInfluenceUpdate& update : manifest.model_delta) {
-      if (update.edge >= base.num_edges()) {
-        return Fail(error, "checkpoint delta references an unknown edge");
-      }
-      for (const EdgeTopicEntry& entry : update.entries) {
-        if (!std::isfinite(entry.prob) || entry.prob < 0.0 ||
-            entry.prob > 1.0) {
-          return Fail(error, "checkpoint delta probability out of [0, 1]");
-        }
-      }
       touched.push_back(update.edge);
     }
     master->RestoreModel(manifest.model_delta, manifest.index_version);
@@ -308,16 +302,10 @@ bool RecoverServingState(const SocialNetwork& base,
     if (PITEX_FAILPOINT("recovery/replay")) {
       return Fail(error, "fault injected: recovery/replay");
     }
+    if (const char* problem = ValidateBatch(record.updates, base.num_edges())) {
+      return Fail(error, std::string("WAL record ") + problem);
+    }
     for (const EdgeInfluenceUpdate& update : record.updates) {
-      if (update.edge >= base.num_edges()) {
-        return Fail(error, "WAL record references an unknown edge");
-      }
-      for (const EdgeTopicEntry& entry : update.entries) {
-        if (!std::isfinite(entry.prob) || entry.prob < 0.0 ||
-            entry.prob > 1.0) {
-          return Fail(error, "WAL record probability out of [0, 1]");
-        }
-      }
       touched.push_back(update.edge);
     }
     master->ApplyUpdates(record.updates);

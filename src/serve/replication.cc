@@ -138,16 +138,7 @@ ReplFrame EncodeRecordMsg(const ReplRecordMsg& msg) {
   std::ostringstream out;
   BinaryWriter writer(&out);
   writer.WriteU64(msg.term);
-  writer.WriteU64(msg.lsn);
-  writer.WriteU64(msg.updates.size());
-  for (const EdgeInfluenceUpdate& update : msg.updates) {
-    writer.WriteU32(update.edge);
-    writer.WriteU64(update.entries.size());
-    for (const EdgeTopicEntry& entry : update.entries) {
-      writer.WriteU32(entry.topic);
-      writer.WriteF64(entry.prob);
-    }
-  }
+  WriteUpdateBatch(&writer, msg.lsn, msg.updates);
   return ReplFrame{ReplFrameType::kRecord, std::move(out).str()};
 }
 
@@ -155,37 +146,9 @@ bool DecodeRecordMsg(const ReplFrame& frame, ReplRecordMsg* msg) {
   if (frame.type != ReplFrameType::kRecord) return false;
   std::istringstream in(frame.payload);
   BinaryReader reader(&in);
-  uint64_t batch = 0;
-  if (!reader.ReadU64(&msg->term) || !reader.ReadU64(&msg->lsn) ||
-      !reader.ReadU64(&batch)) {
-    return false;
-  }
-  // Allocation bound: every update costs at least 12 encoded bytes
-  // (edge u32 + entry count u64) and every entry exactly 12 (topic u32
-  // + prob f64), so a count beyond payload/12 + 1 is structurally
-  // impossible — the same defensive sizing the WAL reader uses.
-  const uint64_t max_items = frame.payload.size() / 12 + 1;
-  if (batch > max_items) return false;
-  msg->updates.clear();
-  msg->updates.reserve(batch);
-  for (uint64_t i = 0; i < batch; ++i) {
-    EdgeInfluenceUpdate update;
-    uint64_t entries = 0;
-    if (!reader.ReadU32(&update.edge) || !reader.ReadU64(&entries) ||
-        entries > max_items) {
-      return false;
-    }
-    update.entries.reserve(entries);
-    for (uint64_t j = 0; j < entries; ++j) {
-      EdgeTopicEntry entry;
-      if (!reader.ReadU32(&entry.topic) || !reader.ReadF64(&entry.prob)) {
-        return false;
-      }
-      update.entries.push_back(entry);
-    }
-    msg->updates.push_back(std::move(update));
-  }
-  return true;
+  return reader.ReadU64(&msg->term) &&
+         ReadUpdateBatch(&reader, frame.payload.size(), &msg->lsn,
+                         &msg->updates);
 }
 
 ReplFrame EncodeHeartbeatMsg(const ReplHeartbeatMsg& msg) {

@@ -113,8 +113,9 @@ enum class ReplFrameType : uint8_t {
   /// term u64 | present u8 | manifest string | snapshot-name string |
   /// snapshot bytes string.
   kCheckpoint = 1,
-  /// One committed WAL record. Payload: term u64 | lsn u64 |
-  /// batch-size u64 | { edge u32 | n u64 | {topic u32, prob f64} * n }.
+  /// One committed WAL record. Payload: term u64, then the WAL blob's
+  /// body for the same (lsn, batch) without its checksum
+  /// (WriteUpdateBatch, src/serve/wal.h).
   kRecord = 2,
   /// Liveness + lag beacon. Payload: term u64 | durable-lsn u64.
   kHeartbeat = 3,

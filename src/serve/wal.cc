@@ -114,6 +114,49 @@ WalReadResult MakeResult(WalReadStatus status, std::string message) {
 
 }  // namespace
 
+void WriteUpdateBatch(BinaryWriter* writer, uint64_t lsn,
+                      std::span<const EdgeInfluenceUpdate> updates) {
+  writer->WriteU64(lsn);
+  writer->WriteU64(updates.size());
+  for (const EdgeInfluenceUpdate& update : updates) {
+    writer->WriteU32(update.edge);
+    writer->WriteU64(update.entries.size());
+    for (const EdgeTopicEntry& entry : update.entries) {
+      writer->WriteU32(entry.topic);
+      writer->WriteF64(entry.prob);
+    }
+  }
+}
+
+bool ReadUpdateBatch(BinaryReader* reader, size_t encoded_bytes,
+                     uint64_t* lsn, std::vector<EdgeInfluenceUpdate>* updates) {
+  constexpr size_t kMinUpdateBytes = 12;
+  const uint64_t max_items = encoded_bytes / kMinUpdateBytes;
+  uint64_t count = 0;
+  if (!reader->ReadU64(lsn) || !reader->ReadU64(&count) || count > max_items) {
+    return false;
+  }
+  updates->clear();
+  updates->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    EdgeInfluenceUpdate& update = updates->emplace_back();
+    uint64_t entries = 0;
+    if (!reader->ReadU32(&update.edge) || !reader->ReadU64(&entries) ||
+        entries > max_items) {
+      return false;
+    }
+    update.entries.reserve(entries);
+    for (uint64_t j = 0; j < entries; ++j) {
+      EdgeTopicEntry entry;
+      if (!reader->ReadU32(&entry.topic) || !reader->ReadF64(&entry.prob)) {
+        return false;
+      }
+      update.entries.push_back(entry);
+    }
+  }
+  return true;
+}
+
 std::string WalSegmentName(uint64_t start_lsn) {
   char buf[4 + 16 + 4 + 1];
   std::snprintf(buf, sizeof(buf), "wal-%016llx.log",
@@ -241,16 +284,7 @@ uint64_t WriteAheadLog::Append(std::span<const EdgeInfluenceUpdate> updates) {
   const uint64_t lsn = next_lsn_;
   std::ostringstream blob_stream;
   BinaryWriter writer(&blob_stream);
-  writer.WriteU64(lsn);
-  writer.WriteU64(updates.size());
-  for (const EdgeInfluenceUpdate& update : updates) {
-    writer.WriteU32(update.edge);
-    writer.WriteU64(update.entries.size());
-    for (const EdgeTopicEntry& entry : update.entries) {
-      writer.WriteU32(entry.topic);
-      writer.WriteF64(entry.prob);
-    }
-  }
+  WriteUpdateBatch(&writer, lsn, updates);
   writer.WriteChecksum();
   if (!writer.ok()) return 0;
   const std::string blob = blob_stream.str();
@@ -456,33 +490,9 @@ WalReadResult ReadWalAfter(const std::string& dir, uint64_t after_lsn,
       std::istringstream blob_stream(blob);
       BinaryReader reader(&blob_stream);
       WalRecord record;
-      uint64_t count = 0;
-      // Declared counts are untrusted until the checksum verifies, and
-      // the reserve below runs before that: bound them by what the blob
-      // could physically encode — an update costs at least 12 bytes
-      // (edge u32 + entry-count u64), an entry exactly 12 (topic u32 +
-      // prob f64) — so a corrupt count field caps the up-front
-      // allocation at the record's own size instead of multi-GB.
-      constexpr uint64_t kMinUpdateBytes = 12;
-      bool parsed = reader.ReadU64(&record.lsn) && reader.ReadU64(&count) &&
-                    count <= blob_len / kMinUpdateBytes;
-      if (parsed) {
-        record.updates.reserve(count);
-        for (uint64_t i = 0; parsed && i < count; ++i) {
-          EdgeInfluenceUpdate& update = record.updates.emplace_back();
-          uint32_t edge = 0;
-          uint64_t entries = 0;
-          parsed = reader.ReadU32(&edge) && reader.ReadU64(&entries) &&
-                   entries <= blob_len / kMinUpdateBytes;
-          update.edge = edge;
-          for (uint64_t j = 0; parsed && j < entries; ++j) {
-            EdgeTopicEntry entry;
-            parsed = reader.ReadU32(&entry.topic) && reader.ReadF64(&entry.prob);
-            if (parsed) update.entries.push_back(entry);
-          }
-        }
-      }
-      if (parsed) parsed = reader.VerifyChecksum();
+      const bool parsed =
+          ReadUpdateBatch(&reader, blob_len, &record.lsn, &record.updates) &&
+          reader.VerifyChecksum();
       if (!parsed) {
         if (last_segment && at_eof) {
           // Full-length but checksum-failing final record: block-level

@@ -17,7 +17,9 @@
 //     header : magic "PITEXWAL" | version u32 LE | start_lsn u64 LE
 //     record*: frame-magic u32 LE | blob-length u32 LE | blob
 //
-// where each blob is a self-checksummed BinaryWriter stream:
+// where each blob is a self-checksummed BinaryWriter stream, the
+// WriteUpdateBatch body (shared with replication's record message)
+// followed by its checksum:
 //
 //   lsn u64 | batch-size u64 | { edge u32 | n u64 | {topic u32,
 //   prob f64} * n } * batch-size | fnv64 checksum
@@ -56,6 +58,7 @@
 
 #include "src/index/dynamic_index.h"
 #include "src/util/mutex.h"
+#include "src/util/serialize.h"
 #include "src/util/thread_annotations.h"
 
 namespace pitex {
@@ -83,6 +86,23 @@ struct WalRecord {
   uint64_t lsn = 0;
   std::vector<EdgeInfluenceUpdate> updates;
 };
+
+/// The update-batch body a WAL record blob and a replication record
+/// message (src/serve/replication.h) share, written through `writer`:
+///
+///   lsn u64 | batch-size u64 | { edge u32 | n u64 | {topic u32,
+///   prob f64} * n } * batch-size
+void WriteUpdateBatch(BinaryWriter* writer, uint64_t lsn,
+                      std::span<const EdgeInfluenceUpdate> updates);
+
+/// Reads one WriteUpdateBatch body from `reader`, which reads a buffer
+/// of `encoded_bytes` bytes. Declared counts are untrusted until the
+/// caller verifies its checksum, so they are bounded by what the buffer
+/// could physically encode: an update costs at least 12 bytes (edge u32
+/// + entry count u64) and an entry exactly 12 (topic u32 + prob f64). A
+/// corrupt count fails the read instead of reserving gigabytes.
+bool ReadUpdateBatch(BinaryReader* reader, size_t encoded_bytes,
+                     uint64_t* lsn, std::vector<EdgeInfluenceUpdate>* updates);
 
 /// Registered minimum-retained-LSN holds: the fix for the truncation /
 /// shipping race. TruncateThrough was written when the checkpointer was

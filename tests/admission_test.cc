@@ -1,7 +1,7 @@
 // Tests for the serving-tier admission controller
 // (src/serve/admission.h): queue bounds, release pairing, token-bucket
 // rate limiting against a synthetic clock, publish-priority headroom,
-// and the stats snapshot.
+// and the in-flight count.
 
 #include "src/serve/admission.h"
 
@@ -24,22 +24,25 @@ TEST(AdmissionTest, UnlimitedByDefault) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(controller.TryAdmit(0, At(0.0)), AdmissionVerdict::kAdmit);
   }
-  EXPECT_EQ(controller.GetStats().in_flight, 1000u);
+  EXPECT_EQ(controller.in_flight(), 1000u);
 }
 
 TEST(AdmissionTest, QueueBoundSheds) {
   AdmissionOptions options;
   options.max_queue_depth = 4;
   AdmissionController controller(options);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(controller.TryAdmit(i, At(0.0)), AdmissionVerdict::kAdmit);
+  size_t admitted = 0, shed_queue_full = 0;
+  for (int i = 0; i < 5; ++i) {
+    const AdmissionVerdict verdict = controller.TryAdmit(i, At(0.0));
+    if (verdict == AdmissionVerdict::kAdmit) ++admitted;
+    if (verdict == AdmissionVerdict::kShedQueueFull) ++shed_queue_full;
+    // The first four fill the bound, the fifth is shed.
+    EXPECT_EQ(verdict, i < 4 ? AdmissionVerdict::kAdmit
+                             : AdmissionVerdict::kShedQueueFull);
   }
-  EXPECT_EQ(controller.TryAdmit(99, At(0.0)),
-            AdmissionVerdict::kShedQueueFull);
-  const AdmissionController::Stats stats = controller.GetStats();
-  EXPECT_EQ(stats.admitted, 4u);
-  EXPECT_EQ(stats.shed_queue_full, 1u);
-  EXPECT_EQ(stats.in_flight, 4u);
+  EXPECT_EQ(admitted, 4u);
+  EXPECT_EQ(shed_queue_full, 1u);
+  EXPECT_EQ(controller.in_flight(), 4u);
 }
 
 TEST(AdmissionTest, ReleaseFreesSlots) {
@@ -52,7 +55,7 @@ TEST(AdmissionTest, ReleaseFreesSlots) {
             AdmissionVerdict::kShedQueueFull);
   controller.Release(2);
   EXPECT_EQ(controller.TryAdmit(3, At(0.0)), AdmissionVerdict::kAdmit);
-  EXPECT_EQ(controller.GetStats().in_flight, 1u);
+  EXPECT_EQ(controller.in_flight(), 1u);
 }
 
 TEST(AdmissionTest, PublishTightensTheBound) {
@@ -94,24 +97,26 @@ TEST(AdmissionTest, TokenBucketLimitsBurst) {
   options.user_rate_limit = 10.0;  // 10 qps sustained
   options.user_burst = 3.0;
   AdmissionController controller(options);
+  size_t shed_rate_limited = 0;
+  const auto admit = [&controller, &shed_rate_limited](double seconds) {
+    const AdmissionVerdict verdict = controller.TryAdmit(7, At(seconds));
+    if (verdict == AdmissionVerdict::kShedRateLimited) ++shed_rate_limited;
+    return verdict;
+  };
   // The burst allowance admits 3 back-to-back, then the bucket is dry.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(controller.TryAdmit(7, At(0.0)), AdmissionVerdict::kAdmit)
-        << "i=" << i;
+    EXPECT_EQ(admit(0.0), AdmissionVerdict::kAdmit) << "i=" << i;
   }
-  EXPECT_EQ(controller.TryAdmit(7, At(0.0)),
-            AdmissionVerdict::kShedRateLimited);
+  EXPECT_EQ(admit(0.0), AdmissionVerdict::kShedRateLimited);
   // 0.1 s later one token has refilled (10 qps).
-  EXPECT_EQ(controller.TryAdmit(7, At(0.1)), AdmissionVerdict::kAdmit);
-  EXPECT_EQ(controller.TryAdmit(7, At(0.1)),
-            AdmissionVerdict::kShedRateLimited);
+  EXPECT_EQ(admit(0.1), AdmissionVerdict::kAdmit);
+  EXPECT_EQ(admit(0.1), AdmissionVerdict::kShedRateLimited);
   // A long idle period refills at most the burst capacity.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(controller.TryAdmit(7, At(100.0)), AdmissionVerdict::kAdmit);
+    EXPECT_EQ(admit(100.0), AdmissionVerdict::kAdmit);
   }
-  EXPECT_EQ(controller.TryAdmit(7, At(100.0)),
-            AdmissionVerdict::kShedRateLimited);
-  EXPECT_EQ(controller.GetStats().shed_rate_limited, 3u);
+  EXPECT_EQ(admit(100.0), AdmissionVerdict::kShedRateLimited);
+  EXPECT_EQ(shed_rate_limited, 3u);
 }
 
 TEST(AdmissionTest, RateLimitIsPerUser) {
@@ -138,32 +143,6 @@ TEST(AdmissionTest, ClockGoingBackwardsIsHarmless) {
   EXPECT_EQ(controller.TryAdmit(5, At(1.0)), AdmissionVerdict::kAdmit);
   EXPECT_EQ(controller.TryAdmit(5, At(1.0)),
             AdmissionVerdict::kShedRateLimited);
-}
-
-TEST(AdmissionTest, DepthPercentilesTrackOfferedLoad) {
-  AdmissionOptions options;
-  options.max_queue_depth = 100;
-  options.depth_window = 16;
-  AdmissionController controller(options);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_EQ(controller.TryAdmit(i, At(0.0)), AdmissionVerdict::kAdmit);
-  }
-  const AdmissionController::Stats stats = controller.GetStats();
-  // Samples are the depths observed at each arrival: 0, 1, ..., 9.
-  EXPECT_EQ(stats.queue_depth.count, 10u);
-  EXPECT_DOUBLE_EQ(stats.queue_depth.max, 9.0);
-  EXPECT_DOUBLE_EQ(stats.queue_depth.mean, 4.5);
-}
-
-TEST(AdmissionTest, DepthWindowIsBounded) {
-  AdmissionOptions options;
-  options.depth_window = 8;
-  AdmissionController controller(options);
-  for (int i = 0; i < 100; ++i) {
-    controller.TryAdmit(0, At(0.0));
-    controller.Release(1);
-  }
-  EXPECT_EQ(controller.GetStats().queue_depth.count, 8u);
 }
 
 }  // namespace

@@ -210,7 +210,9 @@ TEST_F(FormatV2DurabilityTest, ServiceResumesAndItsNextCheckpointIsV3) {
          ++round) {
       ASSERT_NE(service.ApplyUpdates(Batch(n, round)), 0u);
     }
-    EXPECT_EQ(service.Stats().checkpoints, 1u);
+    EXPECT_EQ(
+        service.SnapshotMetrics().CounterValue("pitex_checkpoints_total"),
+        1u);
   }
   CheckpointManifest manifest;
   bool present = false;

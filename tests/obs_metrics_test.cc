@@ -134,6 +134,86 @@ TEST(MetricsRegistryTest, PrometheusExportCumulativeBuckets) {
   EXPECT_NE(prom.find("pitex_h_seconds_count 3"), std::string::npos) << prom;
 }
 
+TEST(MetricsRegistryTest, HistogramValueIsChecked) {
+  MetricsRegistry registry;
+  registry.RegisterCounter("pitex_c_total", "help");
+  registry.RegisterHistogram("pitex_h_seconds", "help", {1.0})->Observe(0.5);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.HistogramValue("pitex_h_seconds").count, 1u);
+  EXPECT_DEATH((void)snapshot.HistogramValue("pitex_c_total"),
+               "not a histogram");
+  EXPECT_DEATH((void)snapshot.HistogramValue("pitex_missing"),
+               "unknown histogram");
+}
+
+// The q-quantile of pitex_h_seconds in a fresh snapshot of `registry`.
+double Quantile(MetricsRegistry& registry, double q) {
+  return HistogramQuantile(
+      registry.Snapshot().HistogramValue("pitex_h_seconds"), q);
+}
+
+TEST(HistogramQuantileTest, EmptyHistogramIsZero) {
+  MetricsRegistry registry;
+  registry.RegisterHistogram("pitex_h_seconds", "help", {1.0, 2.0});
+  EXPECT_EQ(Quantile(registry, 0.5), 0.0);
+  EXPECT_EQ(Quantile(registry, 0.99), 0.0);
+}
+
+TEST(HistogramQuantileTest, SingleBucketSpansItsBounds) {
+  MetricsRegistry registry;
+  Histogram* histogram =
+      registry.RegisterHistogram("pitex_h_seconds", "help", {1.0, 2.0, 4.0});
+  for (int i = 0; i < 4; ++i) histogram->Observe(1.5);  // all in (1, 2]
+  EXPECT_DOUBLE_EQ(Quantile(registry, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(Quantile(registry, 0.5), 1.5);
+  EXPECT_DOUBLE_EQ(Quantile(registry, 1.0), 2.0);
+}
+
+TEST(HistogramQuantileTest, InfBucketReturnsTheLastFiniteBound) {
+  MetricsRegistry registry;
+  Histogram* histogram =
+      registry.RegisterHistogram("pitex_h_seconds", "help", {1.0, 2.0, 4.0});
+  histogram->Observe(0.5);
+  for (int i = 0; i < 3; ++i) histogram->Observe(100.0);
+  EXPECT_DOUBLE_EQ(Quantile(registry, 0.5), 4.0);
+  EXPECT_DOUBLE_EQ(Quantile(registry, 0.99), 4.0);
+}
+
+TEST(HistogramQuantileTest, InterpolatesLinearlyInsideABucket) {
+  MetricsRegistry registry;
+  Histogram* histogram =
+      registry.RegisterHistogram("pitex_h_seconds", "help", {1.0, 2.0});
+  histogram->Observe(0.5);
+  histogram->Observe(0.5);  // two in (0, 1]
+  histogram->Observe(1.5);
+  histogram->Observe(1.5);  // two in (1, 2]
+  EXPECT_DOUBLE_EQ(Quantile(registry, 0.25), 0.5);   // rank 1 of 2 in (0, 1]
+  EXPECT_DOUBLE_EQ(Quantile(registry, 0.5), 1.0);    // rank 2: top of (0, 1]
+  EXPECT_DOUBLE_EQ(Quantile(registry, 0.75), 1.5);   // rank 1 of 2 in (1, 2]
+}
+
+TEST(HistogramQuantileTest, DifferenceOfTwoSnapshotsCoversTheInterval) {
+  MetricsRegistry registry;
+  Histogram* histogram =
+      registry.RegisterHistogram("pitex_h_seconds", "help", {1.0, 2.0});
+  for (int i = 0; i < 10; ++i) histogram->Observe(0.5);
+  const MetricsSnapshot before = registry.Snapshot();
+  for (int i = 0; i < 4; ++i) histogram->Observe(1.5);
+  const MetricsSnapshot after = registry.Snapshot();
+
+  MetricValue interval = after.HistogramValue("pitex_h_seconds");
+  const MetricValue& earlier = before.HistogramValue("pitex_h_seconds");
+  ASSERT_EQ(interval.bucket_counts.size(), earlier.bucket_counts.size());
+  for (size_t i = 0; i < interval.bucket_counts.size(); ++i) {
+    interval.bucket_counts[i] -= earlier.bucket_counts[i];
+  }
+  // Only the four later samples remain, all in (1, 2].
+  EXPECT_DOUBLE_EQ(HistogramQuantile(interval, 0.5), 1.5);
+  // The cumulative view is dominated by the ten earlier samples.
+  EXPECT_DOUBLE_EQ(
+      HistogramQuantile(after.HistogramValue("pitex_h_seconds"), 0.5), 0.7);
+}
+
 TEST(HotCounterTest, CountMacroHitsTheTable) {
   const uint64_t before =
       HotCounterRef(HotCounter::kSolveFrontierPops).Value();

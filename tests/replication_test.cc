@@ -15,7 +15,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +28,7 @@
 #include "src/serve/pitex_service.h"
 #include "src/serve/replication.h"
 #include "src/serve/term_authority.h"
+#include "src/serve/wal.h"
 #include "src/util/failpoint.h"
 
 namespace pitex {
@@ -152,6 +155,43 @@ TEST_F(ReplicationTest, TypedPayloadsRoundTrip) {
   // Type confusion is rejected, not misparsed.
   EXPECT_FALSE(DecodeAckMsg(EncodeResyncMsg(1), &lsn));
   EXPECT_FALSE(DecodeRecordMsg(EncodeHeartbeatMsg(beat), &record2));
+}
+
+TEST_F(ReplicationTest, RecordPayloadAfterTermIsTheWalBlobBody) {
+  // One update-batch codec: a record message is its term followed by
+  // exactly the bytes the WAL writes for the same (lsn, batch), less the
+  // WAL blob's trailing checksum.
+  const std::vector<EdgeInfluenceUpdate> batch = {
+      EdgeInfluenceUpdate{3, {{1, 0.25}, {2, 0.5}}},
+      EdgeInfluenceUpdate{9, {}}};
+  const std::string dir = root_ + "/wal";
+  {
+    auto wal = WriteAheadLog::Open(dir, /*next_lsn=*/42, WalOptions{});
+    ASSERT_NE(wal, nullptr);
+    ASSERT_EQ(wal->Append(batch), 42u);
+    ASSERT_TRUE(wal->Sync());
+  }
+  std::ifstream in(dir + "/" + WalSegmentName(42), std::ios::binary);
+  const std::string segment{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  // Segment header: "PITEXWAL" | version u32 | start_lsn u64. Record
+  // frame: magic u32 | blob length u32 | blob (body, then fnv64).
+  constexpr size_t kSegmentHeader = 8 + 4 + 8;
+  constexpr size_t kFrameHeader = 4 + 4;
+  constexpr size_t kChecksum = 8;
+  ASSERT_GT(segment.size(), kSegmentHeader + kFrameHeader + kChecksum);
+  const std::string body =
+      segment.substr(kSegmentHeader + kFrameHeader,
+                     segment.size() - kSegmentHeader - kFrameHeader -
+                         kChecksum);
+
+  ReplRecordMsg msg;
+  msg.term = 7;
+  msg.lsn = 42;
+  msg.updates = batch;
+  const ReplFrame frame = EncodeRecordMsg(msg);
+  ASSERT_GT(frame.payload.size(), 8u);
+  EXPECT_EQ(frame.payload.substr(8), body);
 }
 
 TEST_F(ReplicationTest, TornFrameAtEveryByteOffsetReadsAsNeedMore) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "running_example.h"
+#include "serve_metrics.h"
 #include "src/serve/pitex_service.h"
 #include "src/util/failpoint.h"
 
@@ -98,12 +99,12 @@ TEST_F(ServeUnderFaultsTest, PublishRetriesThroughInjectedFailures) {
   EXPECT_EQ(
       FailpointRegistry::Instance().FireCount("serve/publish_freeze"), 2u);
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.publish_retries, 2u);
-  EXPECT_EQ(stats.publish_failures, 0u);
-  EXPECT_EQ(stats.epochs_published, 2u);
-  EXPECT_FALSE(stats.publish_in_flight);
-  EXPECT_FALSE(stats.publish_stuck);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(snap.CounterValue("pitex_publish_retries_total"), 2u);
+  EXPECT_EQ(snap.CounterValue("pitex_publish_failures_total"), 0u);
+  EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 2);
+  EXPECT_EQ(snap.GaugeValue("pitex_publish_in_flight"), 0);
+  EXPECT_EQ(snap.GaugeValue("pitex_publish_stuck"), 0);
 
   // The published epoch serves.
   const ServedResult result = service.Submit({.user = 0, .k = 2}).get();
@@ -132,10 +133,11 @@ TEST_F(ServeUnderFaultsTest, ExhaustedRetriesFoldIntoNextPublish) {
   EXPECT_EQ(outcome, ApplyUpdatesOutcome::kPublishFailed);
   EXPECT_EQ(service.current_epoch(), 1u);      // readers keep epoch 1
   {
-    const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.publish_failures, 1u);
-    EXPECT_EQ(stats.publish_retries, 2u);  // both attempts failed
-    EXPECT_EQ(stats.epochs_published, 1u);
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(snap.CounterValue("pitex_publish_failures_total"), 1u);
+    // Both attempts failed.
+    EXPECT_EQ(snap.CounterValue("pitex_publish_retries_total"), 2u);
+    EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 1);
   }
   // Serving is unaffected by the failed publish.
   EXPECT_EQ(service.Submit({.user = 1, .k = 2}).get().epoch, 1u);
@@ -163,6 +165,49 @@ TEST_F(ServeUnderFaultsTest, ExhaustedRetriesFoldIntoNextPublish) {
     EXPECT_DOUBLE_EQ(healed.result.influence, expected.result.influence)
         << "user " << user;
   }
+}
+
+// The publish watchdog's true path: with a zero threshold any publish
+// in flight counts as stuck. The freeze is held in a fail-point delay
+// while another thread snapshots the metrics -- which must not wait on
+// the publisher lock the hung publish holds.
+TEST_F(ServeUnderFaultsTest, WatchdogFlagsAPublishHeldInFlight) {
+  const SocialNetwork n = MakeRunningExample();
+  ServeOptions options = BaseOptions();
+  options.publish_stuck_after_seconds = 0.0;
+  PitexService service(&n, options);
+  service.Start();
+
+  FailpointConfig delay;
+  delay.mode = FailpointMode::kDelay;
+  delay.delay_ms = 300;
+  delay.fires = 1;
+  FailpointRegistry::Instance().Enable("serve/publish_freeze", delay);
+
+  std::atomic<uint64_t> epoch{0};
+  std::thread publisher([&service, &n, &epoch] {
+    std::vector<EdgeInfluenceUpdate> updates{MakeUpdate(n, 0)};
+    epoch.store(service.ApplyUpdates(updates));
+  });
+  bool saw_in_flight = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!saw_in_flight && std::chrono::steady_clock::now() < deadline) {
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    if (snap.GaugeValue("pitex_publish_in_flight") == 1) {
+      saw_in_flight = true;
+      EXPECT_EQ(snap.GaugeValue("pitex_publish_stuck"), 1);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  publisher.join();
+  EXPECT_TRUE(saw_in_flight);
+  EXPECT_EQ(epoch.load(), 2u);
+
+  const obs::MetricsSnapshot after = service.SnapshotMetrics();
+  EXPECT_EQ(after.GaugeValue("pitex_publish_in_flight"), 0);
+  EXPECT_EQ(after.GaugeValue("pitex_publish_stuck"), 0);
 }
 
 TEST_F(ServeUnderFaultsTest, ServesExactlyThroughFaultStorm) {
@@ -228,9 +273,9 @@ TEST_F(ServeUnderFaultsTest, ServesExactlyThroughFaultStorm) {
   }
 
   // The broken cache never served (or retained) anything.
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_entries, 0u);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(snap.CounterValue("pitex_cache_hits_total"), 0u);
+  EXPECT_EQ(snap.GaugeValue("pitex_cache_entries"), 0);
 
   // Heal everything: a fresh query sees the final epoch and the cache
   // works again.
@@ -298,10 +343,11 @@ TEST_F(ServeUnderFaultsTest, DeadlineStormDegradesInsteadOfCollapsing) {
   EXPECT_GT(expired, 0u);       // the 1 ns budgets cannot survive a queue
   EXPECT_GE(ok, kQueries / 3);  // every unconstrained query completed
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queries_served, kQueries);
-  EXPECT_EQ(stats.degraded, degraded);
-  EXPECT_EQ(stats.deadline_expired, expired);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(QueriesServed(snap), kQueries);
+  EXPECT_EQ(snap.CounterValue("pitex_queries_degraded_total"), degraded);
+  EXPECT_EQ(snap.CounterValue("pitex_queries_deadline_expired_total"),
+            expired);
 
   // ...so an unconstrained re-ask of a budgeted user gets the exact
   // answer, not a truncated cached ranking.
@@ -371,11 +417,11 @@ TEST_F(ServeUnderFaultsTest, AdmissionShedsButPublishesProceed) {
   EXPECT_GT(served, 0u);
   EXPECT_EQ(published.load(), 3u);
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queries_served, served);
-  EXPECT_EQ(stats.shed_queue_full, shed);
-  EXPECT_EQ(stats.admission_in_flight, 0u);  // everything drained
-  EXPECT_GT(stats.queue_depth.count, 0u);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(QueriesServed(snap), served);
+  EXPECT_EQ(snap.CounterValue("pitex_queries_shed_queue_full_total"), shed);
+  // Everything drained.
+  EXPECT_EQ(snap.GaugeValue("pitex_admission_in_flight"), 0);
 
   ExpectConservation(service);
 }
@@ -402,7 +448,9 @@ TEST_F(ServeUnderFaultsTest, RateLimitShedsPerUserFloods) {
   }
   EXPECT_GT(shed, 0u);
   EXPECT_LT(shed, 40u);  // the burst allowance admitted at least two
-  EXPECT_EQ(service.Stats().shed_rate_limited, shed);
+  EXPECT_EQ(service.SnapshotMetrics().CounterValue(
+                "pitex_queries_shed_rate_limited_total"),
+            shed);
 }
 
 TEST_F(ServeUnderFaultsTest, WorkerBindRetriesFaultedIndexLoads) {
